@@ -1,5 +1,5 @@
-//! E12 — parallel accounting: prints the P-RBW / simulator tables and
-//! benchmarks the parallel executors.
+//! E12 — parallel accounting: prints the P-RBW / halo tables and
+//! benchmarks the parallel executor and the owner-driven split.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_cdag::topo::topological_order;
@@ -7,7 +7,8 @@ use dmc_kernels::chains;
 use dmc_kernels::grid::Stencil;
 use dmc_kernels::jacobi::jacobi_cdag;
 use dmc_machine::{Level, MemoryHierarchy};
-use dmc_sim::{schedule, simulate};
+use dmc_sim::hierarchy_sim::split_by_owner;
+use dmc_sim::schedule;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::parallel_experiment());
@@ -29,14 +30,8 @@ fn bench(c: &mut Criterion) {
     });
     let j = jacobi_cdag(64, 1, 4, Stencil::VonNeumann);
     let owner = schedule::jacobi_block_owner(&j, 4);
-    let hs = MemoryHierarchy::new(vec![
-        Level::new("L1", 4, 32),
-        Level::new("mem", 4, u64::MAX),
-    ])
-    .expect("valid");
-    let sched = schedule::by_level(&j.cdag);
-    group.bench_function("simulate_block_jacobi/n64t4p4", |b| {
-        b.iter(|| simulate(&j.cdag, &hs, &sched, &owner).total_horizontal())
+    group.bench_function("split_block_jacobi/n64t4p4", |b| {
+        b.iter(|| split_by_owner(&j.cdag, 4, |v, _| owner[v.index()]).remote_reads)
     });
     group.finish();
 }

@@ -18,7 +18,6 @@
 //! repro lint [--format text|json] [--rules d1,d2,...]
 //! repro serve [--addr HOST:PORT] [--workers N] [--threads N]
 //!             [--cache-entries K] [--cache-bytes B] [--max-vertices N]
-//! repro loadgen [--workers N]
 //! ```
 //!
 //! `--threads N` pins the worker count for the wavefront engine and the
@@ -32,11 +31,10 @@
 //! pipeline (`--clusters K` pins the cluster count), `--max-vertices N`
 //! raises or lowers the catalog's build-admission limit, and `scale`
 //! runs the E16 curve of sparse random DAGs from 2^20 past 10^7
-//! vertices through the hierarchical mode. The binary also records
-//! wall-clock perf snapshots as `BENCH_<experiment>.json` (in
-//! `$DMC_BENCH_DIR`, default the current directory). `simulate` executes the kernel's schedule
-//! hook on the cache simulator across the S-sweep and sandwiches the
-//! measured I/O between the certified lower and upper bounds (the sweep
+//! vertices through the hierarchical mode. `simulate` executes the
+//! kernel's schedule hook on the cache simulator across the S-sweep and
+//! sandwiches the measured I/O between the certified lower and upper
+//! bounds (the sweep
 //! defaults to three octaves up from the schedule's minimum feasible S;
 //! `--policy` restricts measurement to one eviction policy). `simulate
 //! --machine` instead judges kernels against a *machine*: the DAG is dealt
@@ -45,8 +43,8 @@
 //! sandwich plus the Equation-7/8 roofline verdicts (`<name>` is a catalog
 //! entry — see the E1 table — `all` sweeps the catalog, any other value is
 //! read as a `key = value` spec file; `--sram S1` sets the per-core
-//! level-1 words, default 64; omitting `--kernel` sweeps the E17 set, and
-//! the snapshot lands in `BENCH_machine.json`). `lint` runs
+//! level-1 words, default 64; omitting `--kernel` sweeps the E17 set).
+//! `lint` runs
 //! the `dmc-lint` determinism/soundness pass over the workspace sources
 //! (exit 0 clean, 1 on violations, 2 on unused waivers; `--rules`
 //! restricts to a comma-separated rule subset, e.g. `d1,s1`). `serve`
@@ -54,9 +52,8 @@
 //! pipeline behind HTTP with a content-addressed result cache
 //! (`--cache-entries`/`--cache-bytes` bound it, `--workers` sizes the
 //! handler pool, `--max-vertices` the admission limit; stop it with
-//! `POST /shutdown`). `loadgen` hammers a fresh in-process daemon with
-//! a hot/cold client mix and records the throughput/latency/hit-rate
-//! numbers as `BENCH_serve.json`.
+//! `POST /shutdown`). Wall-clock performance is measured by the
+//! separate `perfbench` harness, not by this binary.
 
 use dmc_bench::ReportFormat;
 use dmc_sim::CachePolicy;
@@ -65,7 +62,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "{msg}; expected one of: table1 sec3 cg gmres \
          jacobi pebbling mincut analyze catalog simulate scale lint list partition parallel \
-         figures serve loadgen all (plus optional --threads N; analyze also takes \
+         figures serve all (plus optional --threads N; analyze also takes \
          <file.cdag> or --kernel '<spec>', --sram S, --format text|json, \
          --hierarchical, --clusters K, --max-vertices N; \
          simulate takes --kernel '<spec>', --sram-sweep lo:hi:step, \
@@ -73,8 +70,7 @@ fn usage_error(msg: &str) -> ! {
          <name|'all'|spec-file> with --sram S1; \
          lint takes --format text|json and --rules d1,d2,d3,s1,s2; \
          serve takes --addr HOST:PORT, --workers N, --threads N, \
-         --cache-entries K, --cache-bytes B, --max-vertices N; \
-         loadgen takes --workers N)"
+         --cache-entries K, --cache-bytes B, --max-vertices N)"
     );
     std::process::exit(2);
 }
@@ -323,10 +319,6 @@ fn run_serve(args: &Args, threads: usize) -> ! {
 }
 
 fn main() {
-    // Perf-trajectory snapshots (`BENCH_*.json` in `$DMC_BENCH_DIR` or
-    // the current directory) are enabled for the binary only — library
-    // users, unit tests, and criterion benches never write them.
-    dmc_bench::snapshot::enable_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&args);
     let arg = args.experiment.clone().unwrap_or_else(|| "all".to_string());
@@ -378,7 +370,6 @@ fn main() {
         usage_error("--clusters needs --hierarchical");
     }
     let serving = arg == "serve";
-    let loadgenning = arg == "loadgen";
     if args.max_vertices.is_some() && !(arg == "analyze" && args.kernel.is_some()) && !serving {
         usage_error(
             "--max-vertices only applies to 'analyze --kernel' and 'serve' (the admission limit)",
@@ -387,8 +378,8 @@ fn main() {
     if args.addr.is_some() && !serving {
         usage_error("--addr only applies to 'serve'");
     }
-    if args.workers.is_some() && !(serving || loadgenning) {
-        usage_error("--workers only applies to 'serve' and 'loadgen'");
+    if args.workers.is_some() && !serving {
+        usage_error("--workers only applies to 'serve'");
     }
     if (args.cache_entries.is_some() || args.cache_bytes.is_some()) && !serving {
         usage_error("--cache-entries and --cache-bytes only apply to 'serve'");
@@ -406,22 +397,8 @@ fn main() {
     let threads = args.threads.unwrap_or(0);
     if serving {
         // `serve` owns its lifecycle (it blocks until `POST /shutdown`),
-        // so like `lint` it never enters the snapshot-timed dispatcher.
+        // so like `lint` it never enters the experiment dispatcher.
         run_serve(&args, threads);
-    }
-    if loadgenning {
-        // `loadgen` writes its own `BENCH_serve.json`; keep it out of
-        // the timed dispatcher so no stray `BENCH_loadgen.json` appears.
-        match dmc_bench::loadgen::loadgen_experiment(args.workers.unwrap_or(0)) {
-            Ok(table) => {
-                print!("{table}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
     }
     if linting {
         // `lint` owns the process exit code (0 clean / 1 violations /
@@ -432,15 +409,7 @@ fn main() {
             args.format.unwrap_or(ReportFormat::Text),
         );
     }
-    // `simulate --machine` gets its own perf-snapshot series
-    // (`BENCH_machine.json`) so the machine sweep's trajectory is
-    // tracked separately from the single-cache sweep's.
-    let snap_name = if arg == "simulate" && args.machine.is_some() {
-        "machine"
-    } else {
-        arg.as_str()
-    };
-    let out = dmc_bench::snapshot::timed(snap_name, threads, || match arg.as_str() {
+    let out = match arg.as_str() {
         "table1" => dmc_bench::table1(),
         "sec3" => dmc_bench::sec3_composite(&[2, 4, 8]),
         "cg" => dmc_bench::cg_experiment(),
@@ -511,6 +480,6 @@ fn main() {
         "figures" | "fig1" | "fig2" | "solvers" => dmc_bench::figures(),
         "all" => dmc_bench::run_all_with(threads),
         other => usage_error(&format!("unknown experiment '{other}'")),
-    });
+    };
     print!("{out}");
 }

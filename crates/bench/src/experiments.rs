@@ -2,6 +2,7 @@
 
 use dmc_cdag::cut::min_wavefront;
 use dmc_cdag::topo::topological_order;
+use dmc_cdag::VertexId;
 use dmc_core::analysis::analyze;
 use dmc_core::bounds::decompose::untag_inputs;
 use dmc_core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
@@ -17,8 +18,9 @@ use dmc_kernels::profile::{cg_profile, gmres_profile, jacobi_profile};
 use dmc_kernels::{cg, chains, composite, fft, gmres, jacobi, matmul, outer};
 use dmc_machine::specs;
 use dmc_machine::MemoryHierarchy;
+use dmc_sim::hierarchy_sim::split_by_owner;
 use dmc_sim::schedule;
-use dmc_sim::simulate;
+use dmc_sim::{CachePolicy, ParallelSplit, Simulation, Trace};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -103,24 +105,16 @@ pub fn cg_experiment() -> String {
         let ratio = 6.0 * (nodes as f64).powf(1.0 / 3.0) / (20.0 * 1000.0);
         let _ = writeln!(out, "  {nodes:<6} {ratio:.6}");
     }
-    // Ghost-cell measurement vs formula on a simulated block run.
+    // Ghost-cell measurement vs formula on a block-partitioned split.
     let t = 2;
     let j = jacobi::jacobi_cdag(16, 1, t, Stencil::VonNeumann);
     let procs = 4;
-    let h = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", procs, 64),
-        dmc_machine::Level::new("mem", procs, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; MemoryHierarchy::new only rejects malformed level lists
-    .expect("valid");
-    let owner = schedule::jacobi_block_owner(&j, procs);
-    let r = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
+    let split = block_split(&j, procs);
     let formula = ghost_cell_upper_bound(16, 1, procs, t) * procs as f64;
     let _ = writeln!(
         out,
         "\nsimulated halo words (1-D proxy, n=16, T={t}, {procs} nodes): {} (formula total {:.0})",
-        r.total_horizontal(),
-        formula
+        split.remote_reads, formula
     );
     out
 }
@@ -155,49 +149,47 @@ pub fn gmres_experiment() -> String {
     out
 }
 
+/// Block-partitioned split of a Jacobi CDAG across `procs` slabs: its
+/// `remote_reads` are the measured halo words.
+fn block_split(j: &jacobi::JacobiCdag, procs: usize) -> ParallelSplit {
+    let owner = schedule::jacobi_block_owner(j, procs);
+    split_by_owner(&j.cdag, procs, |v, _| owner[v.index()])
+}
+
+/// LRU traffic of `order` through `s` words of fast memory.
+fn lru_trace(sim: &mut Simulation, g: &dmc_cdag::Cdag, order: &[VertexId], s: u64) -> Trace {
+    sim.run(g, order, CachePolicy::Lru, s)
+        // dmc-lint: allow(s1) -- callers pass a topological order of `g` and an S above the stencil's in_degree + 1 footprint, the only two rejections
+        .expect("valid schedule and feasible S")
+}
+
 /// E6 — Theorem 10: Jacobi bounds, tiling ablation, critical dimensions.
 pub fn jacobi_experiment() -> String {
     let mut out = String::from("== E6 / Theorem 10 + §5.4: Jacobi stencils ==\n");
-    // Tiling ablation on 1-D Jacobi: DRAM traffic, by-level vs tiled.
-    // Write-backs are structural in the CDAG address model (every value is
-    // a distinct word, so all n·T results hit DRAM once under any
-    // schedule); the schedule-dependent signal is the *read* traffic,
-    // which is what the pebble-game bounds (with their R4 delete rule)
-    // constrain.
+    // Tiling ablation on 1-D Jacobi: DRAM traffic, by-level vs tiled,
+    // measured by the RBW simulator under LRU. Dead values are freed
+    // (rule R4), so stores are only live spills plus the output flush
+    // and both columns depend on the schedule; the reads are compared
+    // against the Theorem-10 bound.
     out.push_str("1-D tiling ablation (n=512, T=64, S1=48 words):\n");
-    out.push_str("schedule           DRAM reads   total(+writebacks)  reads vs LB\n");
+    out.push_str("schedule           DRAM reads   io (loads+stores)   reads vs LB\n");
     let (n, t, s1) = (512usize, 64usize, 48u64);
     let j = jacobi::jacobi_cdag(n, 1, t, Stencil::VonNeumann);
-    let h = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", 1, s1),
-        dmc_machine::Level::new("mem", 1, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-    .expect("valid");
-    let owner = vec![0usize; j.cdag.num_vertices()];
     let lb = jacobi::jacobi_io_lower_bound(n, 1, t, 1, s1);
-    let untiled = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
-    let _ = writeln!(
-        out,
-        "by-level (untiled) {:<12} {:<19} {:.1}x",
-        untiled.total_dram_reads(),
-        untiled.total_dram_traffic(),
-        untiled.total_dram_reads() as f64 / lb
-    );
-    for w in [8usize, 16, 32] {
-        let tiled = simulate(&j.cdag, &h, &schedule::tiled_jacobi_1d(&j, w), &owner);
-        let note = if 2 * w + 4 > s1 as usize {
-            "  <- 2w+4 > S: thrash cliff"
-        } else {
-            ""
-        };
+    let mut sim = Simulation::new();
+    let mut row = |label: &str, order: &[VertexId]| {
+        let tr = lru_trace(&mut sim, &j.cdag, order, s1);
         let _ = writeln!(
             out,
-            "tiled w={w:<3}         {:<12} {:<19} {:.1}x{note}",
-            tiled.total_dram_reads(),
-            tiled.total_dram_traffic(),
-            tiled.total_dram_reads() as f64 / lb
+            "{label:<18} {:<12} {:<19} {:.1}x",
+            tr.loads,
+            tr.io(),
+            tr.loads as f64 / lb
         );
+    };
+    row("by-level (untiled)", &schedule::by_level(&j.cdag));
+    for w in [8usize, 16, 32] {
+        row(&format!("tiled w={w}"), &schedule::tiled_jacobi_1d(&j, w));
     }
     let _ = writeln!(out, "Theorem-10 LB      {lb:.0}");
     // 2-D ablation: the (2S)^{1/2} reuse regime.
@@ -205,29 +197,14 @@ pub fn jacobi_experiment() -> String {
     out.push_str("schedule           DRAM reads   reads vs LB\n");
     let (n2, t2, s2) = (48usize, 12usize, 96u64);
     let j2 = jacobi::jacobi_cdag(n2, 2, t2, Stencil::Moore);
-    let h2 = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", 1, s2),
-        dmc_machine::Level::new("mem", 1, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-    .expect("valid");
-    let owner2 = vec![0usize; j2.cdag.num_vertices()];
     let lb2 = jacobi::jacobi_io_lower_bound(n2, 2, t2, 1, s2);
-    let untiled2 = simulate(&j2.cdag, &h2, &schedule::by_level(&j2.cdag), &owner2);
-    let _ = writeln!(
-        out,
-        "by-level (untiled) {:<12} {:.1}x",
-        untiled2.total_dram_reads(),
-        untiled2.total_dram_reads() as f64 / lb2
-    );
+    let mut row2 = |label: &str, order: &[VertexId]| {
+        let loads = lru_trace(&mut sim, &j2.cdag, order, s2).loads;
+        let _ = writeln!(out, "{label:<18} {loads:<12} {:.1}x", loads as f64 / lb2);
+    };
+    row2("by-level (untiled)", &schedule::by_level(&j2.cdag));
     for w in [4usize, 6, 8] {
-        let tiled = simulate(&j2.cdag, &h2, &schedule::tiled_jacobi_2d(&j2, w), &owner2);
-        let _ = writeln!(
-            out,
-            "tiled w={w:<3}         {:<12} {:.1}x",
-            tiled.total_dram_reads(),
-            tiled.total_dram_reads() as f64 / lb2
-        );
+        row2(&format!("tiled w={w}"), &schedule::tiled_jacobi_2d(&j2, w));
     }
     let _ = writeln!(out, "Theorem-10 LB      {lb2:.0}");
     // Critical dimensions.
@@ -373,7 +350,6 @@ pub fn mincut_experiment_with(threads: usize) -> String {
     for (name, strat) in [
         ("all", AnchorStrategy::All),
         ("per-level", AnchorStrategy::PerLevel),
-        ("stride-8", AnchorStrategy::Stride(8)),
         ("adaptive", AnchorStrategy::Adaptive),
     ] {
         let b = auto_wavefront_bound_with(&g, 4, strat, threads);
@@ -384,7 +360,7 @@ pub fn mincut_experiment_with(threads: usize) -> String {
     out.push_str("\nengine scaling, ladder(10,10), All anchors (w^max invariant in threads):\n");
     out.push_str("threads  w^max  evaluated/anchors  ms\n");
     let g = untag_inputs(&chains::ladder(10, 10));
-    let anchors: Vec<dmc_cdag::VertexId> = g.vertices().collect();
+    let anchors: Vec<VertexId> = g.vertices().collect();
     let mut counts = vec![1usize, 2, 4, 8];
     if threads != 0 && !counts.contains(&threads) {
         counts.push(threads);
@@ -581,14 +557,10 @@ pub fn scale_experiment() -> String {
 /// E16 — `analyze --hierarchical` over the sparse random scale curve:
 /// 2^20 up to ≥10^7 vertices through build + hierarchical analysis. The
 /// structural columns (|V|, |E|, clusters, bound) are deterministic;
-/// only the wall-clock columns vary between runs, and those are also
-/// recorded machine-readably as `BENCH_scale_points.json` when the
-/// `repro` binary enabled snapshots. Not part of `repro all` — the top
-/// row alone builds a 10.5M-vertex graph.
+/// only the wall-clock columns vary between runs. Not part of
+/// `repro all` — the top row alone builds a 10.5M-vertex graph.
 pub fn scale_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
-    use serde::json::Value;
-    use serde::Serialize as _;
     let mut out =
         String::from("== E16: hierarchical scale curve (sparse random layered DAGs) ==\n");
     out.push_str(
@@ -600,7 +572,6 @@ pub fn scale_experiment_with(threads: usize) -> String {
         ..AnalyzerConfig::default()
     });
     let registry = Registry::shared();
-    let mut rows: Vec<Value> = Vec::new();
     for layers in E16_LAYERS {
         let spec = e16_spec(layers);
         let parsed = registry
@@ -622,17 +593,7 @@ pub fn scale_experiment_with(threads: usize) -> String {
             "{spec:<41} {:<10} {:<10} {:<4} {:<10} {build_s:<8.1} {analyze_s:.1}",
             r.vertices, r.edges, h.cluster_count, r.bound.value
         );
-        rows.push(Value::object([
-            ("spec", spec.to_json()),
-            ("vertices", r.vertices.to_json()),
-            ("edges", r.edges.to_json()),
-            ("clusters", h.cluster_count.to_json()),
-            ("bound", r.bound.value.to_json()),
-            ("build_s", build_s.to_json()),
-            ("analyze_s", analyze_s.to_json()),
-        ]));
     }
-    crate::snapshot::write("scale_points", &rows);
     out.push_str(
         "(hierarchical mode: Theorem-2 composition over 65536-vertex interval\n\
          clusters + the whole-graph wavefront where admitted; the bound columns\n\
@@ -1142,22 +1103,16 @@ pub fn parallel_experiment() -> String {
         stats.total_horizontal(),
         stats.max_computes()
     );
-    // Simulator on block-partitioned Jacobi: halo words vs ghost formula.
+    // Owner-driven split of block-partitioned Jacobi: halo words vs
+    // ghost formula.
     out.push_str("\nblock-partitioned 1-D Jacobi halo traffic (simulated vs formula):\n");
     out.push_str("procs  simulated  ghost-formula(total)\n");
     let (n, t) = (64usize, 4usize);
     let j = jacobi::jacobi_cdag(n, 1, t, Stencil::VonNeumann);
     for procs in [2usize, 4, 8] {
-        let h = MemoryHierarchy::new(vec![
-            dmc_machine::Level::new("L1", procs, 32),
-            dmc_machine::Level::new("mem", procs, u64::MAX),
-        ])
-        // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-        .expect("valid");
-        let owner = schedule::jacobi_block_owner(&j, procs);
-        let r = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
+        let halo = block_split(&j, procs).remote_reads;
         let formula = ghost_cell_upper_bound(n, 1, procs, t) * procs as f64;
-        let _ = writeln!(out, "{procs:<6} {:<10} {formula:.0}", r.total_horizontal());
+        let _ = writeln!(out, "{procs:<6} {halo:<10} {formula:.0}");
     }
     out
 }

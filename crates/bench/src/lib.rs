@@ -8,7 +8,5 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod loadgen;
-pub mod snapshot;
 
 pub use experiments::*;

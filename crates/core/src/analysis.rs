@@ -78,33 +78,6 @@ pub fn analyze(profile: &AlgorithmProfile, machine: &MachineSpec) -> BalanceRepo
     }
 }
 
-/// The paper's CG profile (Section 5.2.3).
-#[deprecated(
-    since = "0.1.0",
-    note = "moved to dmc_kernels::profile::cg_profile; prefer the catalog's Kernel::profile hook"
-)]
-pub fn cg_profile(n: usize, nodes: usize) -> AlgorithmProfile {
-    dmc_kernels::profile::cg_profile(n, nodes)
-}
-
-/// The paper's GMRES profile (Section 5.3.3).
-#[deprecated(
-    since = "0.1.0",
-    note = "moved to dmc_kernels::profile::gmres_profile; prefer the catalog's Kernel::profile hook"
-)]
-pub fn gmres_profile(n: usize, m: usize, nodes: usize) -> AlgorithmProfile {
-    dmc_kernels::profile::gmres_profile(n, m, nodes)
-}
-
-/// The paper's Jacobi profile (Section 5.4.3).
-#[deprecated(
-    since = "0.1.0",
-    note = "moved to dmc_kernels::profile::jacobi_profile; prefer the catalog's Kernel::profile hook"
-)]
-pub fn jacobi_profile(n: usize, d: usize, nodes: usize, s_words: u64) -> AlgorithmProfile {
-    dmc_kernels::profile::jacobi_profile(n, d, nodes, s_words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +123,6 @@ mod tests {
         // LB ratio = 1/(4·(8e6)^{1/3}) = 1/800 = 0.00125 < 0.052, and the
         // tiled UB 2/(8e6)^{1/3} = 0.01 < 0.052 → definitely not bound.
         assert_eq!(r.vertical, BandwidthVerdict::NotBandwidthBound);
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_the_moved_profiles() {
-        #[allow(deprecated)]
-        let old = super::cg_profile(1000, 2048);
-        let new = cg_profile(1000, 2048);
-        assert_eq!(old.vertical_lb_per_flop, new.vertical_lb_per_flop);
-        assert_eq!(old.horizontal_ub_per_flop, new.horizontal_ub_per_flop);
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub enum AnchorStrategy {
     /// One vertex per depth level (the midpoint of each level) plus the
     /// deepest vertex: cheap and effective on layered CDAGs.
     PerLevel,
-    /// Deterministic stride sample of at most `k` vertices.
-    Stride(usize),
     /// Two-phase sampling: a `PerLevel` coarse pass, then exhaustive
     /// refinement of every vertex within one depth level of the coarse
     /// winner. Dominates `PerLevel` at a fraction of `All`'s cost.
@@ -63,7 +61,6 @@ pub enum AnchorStrategy {
 /// full adaptive schedule lives in
 /// [`WavefrontEngine::run_adaptive`](dmc_cdag::engine::WavefrontEngine::run_adaptive).
 pub fn select_anchors(g: &Cdag, strategy: AnchorStrategy) -> Vec<VertexId> {
-    let n = g.num_vertices();
     match strategy {
         AnchorStrategy::All => g.vertices().collect(),
         AnchorStrategy::PerLevel | AnchorStrategy::Adaptive => {
@@ -78,14 +75,6 @@ pub fn select_anchors(g: &Cdag, strategy: AnchorStrategy) -> Vec<VertexId> {
                 .filter(|l| !l.is_empty())
                 .map(|l| l[l.len() / 2])
                 .collect()
-        }
-        AnchorStrategy::Stride(k) => {
-            let k = k.max(1);
-            // `div_ceil`, not truncating division: `(n / k).max(1)` used to
-            // overshoot to up to `2k − 1` anchors (e.g. n = 9, k = 5 gave
-            // stride 1 and 9 anchors).
-            let stride = n.div_ceil(k).max(1);
-            (0..n).step_by(stride).map(|i| VertexId(i as u32)).collect()
         }
     }
 }
@@ -206,29 +195,6 @@ mod tests {
         assert!(b_pl.value <= b_all.value);
     }
 
-    #[test]
-    fn stride_sampling_bounds_count() {
-        // Happy path: n divisible by k gives exactly k anchors.
-        let g = chains::ladder(5, 5);
-        let anchors = select_anchors(&g, AnchorStrategy::Stride(5));
-        assert_eq!(anchors.len(), 5);
-        // Off the happy path the count must still be <= k. With the old
-        // truncating stride, n = 9 and k = 5 returned 9 anchors.
-        let g = chains::chain(9);
-        let anchors = select_anchors(&g, AnchorStrategy::Stride(5));
-        assert!(
-            !anchors.is_empty() && anchors.len() <= 5,
-            "{}",
-            anchors.len()
-        );
-        // k >= n degenerates to all vertices.
-        let g = chains::chain(3);
-        assert_eq!(select_anchors(&g, AnchorStrategy::Stride(7)).len(), 3);
-        // k = 0 is clamped to one anchor per full stride.
-        let g = chains::chain(4);
-        assert_eq!(select_anchors(&g, AnchorStrategy::Stride(0)).len(), 1);
-    }
-
     /// The engine-backed bound must be *bit-identical* to the serial
     /// baseline — value and derivation detail — at every thread count, on
     /// each family of test graphs (chains, jacobi, random).
@@ -257,11 +223,7 @@ mod tests {
             ),
         ];
         for (name, g) in &graphs {
-            for strategy in [
-                AnchorStrategy::All,
-                AnchorStrategy::PerLevel,
-                AnchorStrategy::Stride(7),
-            ] {
+            for strategy in [AnchorStrategy::All, AnchorStrategy::PerLevel] {
                 // The pre-refactor serial implementation, verbatim.
                 let anchors = select_anchors(g, strategy);
                 let expected = match max_min_wavefront(g, &anchors) {

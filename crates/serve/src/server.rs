@@ -13,7 +13,7 @@
 //! [`Server::run`] returns a [`ServeSummary`]. (A SIGTERM handler would
 //! need `unsafe`/libc, which this workspace forbids — the endpoint is
 //! the portable, safe-Rust graceful path, and is what the CI smoke and
-//! the loadgen harness use.)
+//! the `perfbench` serve workload use.)
 
 use crate::http::{read_request, write_response, Limits, RecvError};
 use crate::service::{reason_phrase, Service, ServiceConfig};
@@ -62,7 +62,7 @@ pub struct ServeSummary {
 }
 
 /// A bound, not-yet-running server. Splitting bind from run lets tests
-/// and the loadgen harness learn the ephemeral port before serving.
+/// and load harnesses learn the ephemeral port before serving.
 pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,

@@ -23,10 +23,13 @@
 //!    falls out of the same identity: a dirty (unsaved live) value
 //!    evicted at level `l` is the `stores` column of that level's
 //!    [`Trace`] — the words written *into* level `l+1`.
-//! 3. [`split_round_robin`] adds the parallel dimension: a deterministic
-//!    P-processor schedule (round-robin over the Kahn wavefronts of the
-//!    DAG, barrier between wavefronts) whose cross-processor word count
-//!    is comparable against the Lemma-2 parallel wavefront bound.
+//! 3. [`split_by_owner`] adds the parallel dimension: a deterministic
+//!    P-processor schedule (the Kahn wavefronts of the DAG, barrier
+//!    between wavefronts, each vertex on the processor an ownership rule
+//!    names) whose cross-processor word count is comparable against the
+//!    Lemma-2 parallel wavefront bound and the ghost-cell formula.
+//!    [`split_round_robin`] is the rule-free default: round-robin within
+//!    each wavefront.
 //!
 //! The 1-level special case is pinned by a differential oracle test: a
 //! hierarchy built by
@@ -245,11 +248,15 @@ impl HierarchySimulation {
 
 /// A deterministic P-processor split of a DAG schedule.
 ///
-/// Built by [`split_round_robin`]: vertices are taken wavefront by
-/// wavefront (Kahn depth levels, an implicit barrier between them) and
-/// dealt round-robin to processors within each wavefront. Every field is
-/// a pure function of the graph, so the split is bit-identical across
-/// runs and thread counts.
+/// Built by [`split_by_owner`]: vertices are taken wavefront by wavefront
+/// (Kahn depth levels, an implicit barrier between them) and each is
+/// assigned to the processor its ownership rule names.
+/// [`split_round_robin`] deals each wavefront round-robin; a data
+/// decomposition such as
+/// [`jacobi_block_owner`](crate::schedule::jacobi_block_owner) pins every
+/// vertex to its grid point's slab. Every field is a pure function of the
+/// graph and the rule, so the split is bit-identical across runs and
+/// thread counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelSplit {
     /// Number of processors the schedule was dealt across.
@@ -265,7 +272,8 @@ pub struct ParallelSplit {
     /// Non-input vertices executed by each processor.
     pub per_proc_computes: Vec<u64>,
     /// Distinct `(value, remote consumer-processor)` pairs: the words
-    /// that must cross the network under an owner-computes rule, the
+    /// that must cross the network under an owner-computes rule (each
+    /// value is sent at most once to each processor that reads it), the
     /// measured side of the Lemma-2 horizontal comparison.
     pub remote_reads: u64,
 }
@@ -292,6 +300,39 @@ pub struct ParallelSplit {
 /// ```
 pub fn split_round_robin(g: &Cdag, procs: usize) -> ParallelSplit {
     let procs = procs.max(1);
+    split_by_owner(g, procs, |_, k| k % procs)
+}
+
+/// Splits `g` across `procs` processors by an ownership rule, in Kahn
+/// wavefront order with a barrier between wavefronts.
+///
+/// `owner_of(v, k)` names the processor of vertex `v`, the `k`-th
+/// vertex of its wavefront; it is called once per vertex, in schedule
+/// order, and the split panics if it returns a value not below `procs`
+/// (clamped to at least 1). The flattened order is the level-by-level
+/// schedule ([`schedule::by_level`](crate::schedule::by_level)), so the split's
+/// [`ParallelSplit::order`] can be handed straight to [`Simulation::run`]
+/// for the vertical side of the same execution.
+///
+/// ```
+/// use dmc_kernels::grid::Stencil;
+/// use dmc_kernels::jacobi::jacobi_cdag;
+/// use dmc_sim::hierarchy_sim::split_by_owner;
+/// use dmc_sim::schedule::jacobi_block_owner;
+///
+/// // 1-D Jacobi on 16 points cut into 4 slabs: each of the 3 inner slab
+/// // faces sends one value each way per time step, 3 · 2 · T = 12.
+/// let j = jacobi_cdag(16, 1, 2, Stencil::VonNeumann);
+/// let owner = jacobi_block_owner(&j, 4);
+/// let split = split_by_owner(&j.cdag, 4, |v, _| owner[v.index()]);
+/// assert_eq!(split.remote_reads, 12);
+/// ```
+pub fn split_by_owner(
+    g: &Cdag,
+    procs: usize,
+    mut owner_of: impl FnMut(VertexId, usize) -> usize,
+) -> ParallelSplit {
+    let procs = procs.max(1);
     let wavefronts = kahn_levels(g);
     let n = g.num_vertices();
     let mut order = Vec::with_capacity(n);
@@ -299,7 +340,8 @@ pub fn split_round_robin(g: &Cdag, procs: usize) -> ParallelSplit {
     let mut per_proc_computes = vec![0u64; procs];
     for wave in &wavefronts {
         for (k, &v) in wave.iter().enumerate() {
-            let p = k % procs;
+            let p = owner_of(v, k);
+            assert!(p < procs, "owner {p} of {v} out of range for {procs} procs");
             owner[v.0 as usize] = p as u32;
             if !g.is_input(v) {
                 per_proc_computes[p] += 1;
@@ -336,7 +378,7 @@ mod tests {
     use dmc_kernels::chains::chain;
     use dmc_kernels::grid::Stencil;
     use dmc_kernels::jacobi::jacobi_cdag;
-    use dmc_machine::specs;
+    use dmc_machine::{specs, Level};
 
     #[test]
     fn effective_capacities_inclusive_vs_exclusive() {
@@ -480,6 +522,103 @@ mod tests {
         let s = split_round_robin(&g, 2);
         assert_eq!(s.supersteps, 2);
         assert_eq!(s.remote_reads, 1);
+    }
+
+    #[test]
+    fn block_owner_split_counts_the_jacobi_halo() {
+        // 1-D Jacobi, n = 64, T = 4, cut into slabs: every inner face
+        // sends one value each way per time step, (P − 1) · 2 · T words.
+        let j = jacobi_cdag(64, 1, 4, Stencil::VonNeumann);
+        for (procs, halo) in [(2usize, 8u64), (4, 24), (8, 56)] {
+            let owner = crate::schedule::jacobi_block_owner(&j, procs);
+            let s = split_by_owner(&j.cdag, procs, |v, _| owner[v.index()]);
+            assert_eq!(s.remote_reads, halo, "procs={procs}");
+            let total: u64 = s.per_proc_computes.iter().sum();
+            assert_eq!(total, j.cdag.num_compute_vertices() as u64);
+            assert!(is_valid_topological_order(&j.cdag, &s.order));
+        }
+    }
+
+    #[test]
+    fn alternating_owners_make_every_chain_edge_remote() {
+        let g = chain(6);
+        let s = split_by_owner(&g, 2, |v, _| v.index() % 2);
+        assert_eq!(s.remote_reads, 5);
+        assert_eq!(s.per_proc_computes, [2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn owner_beyond_procs_is_rejected() {
+        let _ = split_by_owner(&chain(3), 2, |_, _| 2);
+    }
+
+    #[test]
+    fn single_owner_split_has_no_remote_traffic() {
+        // Two processors, but the rule pins every vertex to processor 0:
+        // every value is read where it lives, so nothing crosses the
+        // network and processor 1 stays idle.
+        let g = chain(6);
+        let s = split_by_owner(&g, 2, |_, _| 0);
+        assert_eq!(s.procs, 2);
+        assert_eq!(s.remote_reads, 0);
+        assert_eq!(s.per_proc_computes, [5, 0]);
+    }
+
+    #[test]
+    fn three_level_hierarchy_measures_both_boundaries() {
+        let g = jacobi_1d(32, 8);
+        let order = topological_order(&g);
+        let h = MemoryHierarchy::new(vec![
+            Level::new("L1", 1, 4),
+            Level::new("L2", 1, 64),
+            Level::new("mem", 1, u64::MAX),
+        ])
+        .unwrap();
+        let ht = HierarchySimulation::new()
+            .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
+            .unwrap();
+        assert_eq!(ht.levels.len(), 2);
+        let (l1, l2) = (ht.boundary(1).trace, ht.boundary(2).trace);
+        // Two 32-wide rows fit in L2, so it sees only the compulsory
+        // traffic; the 4-word L1 thrashes on every row.
+        let compulsory = (g.num_inputs() + g.num_outputs()) as u64;
+        assert_eq!(l2.io(), compulsory, "{:?}", ht.levels);
+        assert!(l1.io() > l2.io(), "{:?}", ht.levels);
+        assert_eq!(ht.total_io(), l1.io() + l2.io());
+    }
+
+    #[test]
+    fn owner_split_and_hierarchy_trace_repeat_bit_identically() {
+        // Horizontal and vertical sides of one parallel execution: the
+        // split and the traces of its order are identical run to run.
+        let j = jacobi_cdag(48, 1, 6, Stencil::VonNeumann);
+        let g = &j.cdag;
+        let owner = crate::schedule::jacobi_block_owner(&j, 4);
+        let split = || split_by_owner(g, 4, |v, _| owner[v.index()]);
+        let (a, b) = (split(), split());
+        assert_eq!(a, b);
+        assert!(a.remote_reads > 0, "multi-processor path exercised");
+        let h = MemoryHierarchy::cluster(1, 4, 4, 32, 1 << 30);
+        let trace = |order: &[VertexId]| {
+            HierarchySimulation::new()
+                .run(g, order, CachePolicy::Lru, &h, Inclusion::Inclusive)
+                .unwrap()
+        };
+        assert_eq!(trace(&a.order), trace(&b.order));
+    }
+
+    #[test]
+    fn hierarchy_run_rejects_a_reversed_schedule() {
+        let g = chain(3);
+        let mut order = topological_order(&g);
+        order.reverse();
+        let h = MemoryHierarchy::cluster(1, 1, 4, 16, 1 << 30);
+        let err = HierarchySimulation::new()
+            .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
+            .unwrap_err();
+        assert_eq!(err.level, 1);
+        assert_eq!(err.source, SimError::InvalidSchedule);
     }
 
     #[test]

@@ -3,20 +3,16 @@
 //! The simulator measures a *specific* execution; these helpers build the
 //! executions the experiments compare:
 //!
-//! * plain topological and level-by-level (BFS-by-depth) schedules,
+//! * the level-by-level (BFS-by-depth) schedule,
 //! * the skewed parallelogram tiling for 1-D Jacobi that keeps a tile of
 //!   the space-time trapezoid in cache — the schedule whose I/O matches
 //!   the `n·T/(S)`-shape lower bound of Theorem 10,
-//! * striped and block ownership maps for parallel runs.
+//! * block ownership for parallel runs of Jacobi, the owner rule
+//!   [`split_by_owner`](crate::hierarchy_sim::split_by_owner) deals by.
 
-use dmc_cdag::topo::{levels, topological_order};
+use dmc_cdag::topo::levels;
 use dmc_cdag::{Cdag, VertexId};
 use dmc_kernels::jacobi::JacobiCdag;
-
-/// The default schedule: Kahn topological order.
-pub fn plain(g: &Cdag) -> Vec<VertexId> {
-    topological_order(g)
-}
 
 /// Level-by-level schedule (all of depth 0, then depth 1, …) — for
 /// stencils this is the untiled "sweep the whole grid each step" order
@@ -60,12 +56,6 @@ pub fn tiled_jacobi_2d(j: &JacobiCdag, tile_width: usize) -> Vec<VertexId> {
         .into_iter()
         .map(|(t, linear)| j.ids[t][linear])
         .collect()
-}
-
-/// Round-robin striped ownership over `procs` processors.
-pub fn striped_owner(g: &Cdag, procs: usize) -> Vec<usize> {
-    assert!(procs >= 1);
-    (0..g.num_vertices()).map(|i| i % procs).collect()
 }
 
 /// Block (slab) ownership for a Jacobi CDAG: the grid's linear index space
@@ -133,31 +123,14 @@ mod tests {
 
     #[test]
     fn tiled_2d_improves_reads_under_pressure() {
-        use dmc_machine::Level;
+        use crate::simulation::{CachePolicy, Simulation};
         let j = jacobi_cdag(24, 2, 8, Stencil::Moore);
-        let h = dmc_machine::MemoryHierarchy::new(vec![
-            Level::new("L1", 1, 64),
-            Level::new("mem", 1, u64::MAX),
-        ])
-        .unwrap();
-        let owner = vec![0usize; j.cdag.num_vertices()];
-        let untiled = crate::simulate(&j.cdag, &h, &by_level(&j.cdag), &owner);
-        let tiled = crate::simulate(&j.cdag, &h, &tiled_jacobi_2d(&j, 4), &owner);
-        assert!(
-            tiled.total_dram_reads() < untiled.total_dram_reads(),
-            "tiled {} !< untiled {}",
-            tiled.total_dram_reads(),
-            untiled.total_dram_reads()
-        );
-    }
-
-    #[test]
-    fn striped_owner_covers_all_procs() {
-        let j = jacobi_cdag(8, 1, 2, Stencil::VonNeumann);
-        let owner = striped_owner(&j.cdag, 3);
-        for p in 0..3 {
-            assert!(owner.contains(&p));
-        }
+        let mut sim = Simulation::new();
+        let mut loads =
+            |order: &[VertexId]| sim.run(&j.cdag, order, CachePolicy::Lru, 64).unwrap().loads;
+        let untiled = loads(&by_level(&j.cdag));
+        let tiled = loads(&tiled_jacobi_2d(&j, 4));
+        assert!(tiled < untiled, "tiled {tiled} !< untiled {untiled}");
     }
 
     #[test]

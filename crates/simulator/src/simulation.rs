@@ -1,10 +1,8 @@
 //! Single-level schedule simulation under Red-Blue-White semantics.
 //!
-//! Where [`crate::exec`] simulates a full write-back cache *hierarchy*
-//! (every produced value eventually hits DRAM), this module measures the
-//! quantity the paper's bounds actually constrain: the I/O of one fast
-//! memory of `S` words playing the no-recomputation RBW game along a
-//! fixed schedule. Dead values are deleted for free (rule R4), values
+//! This module measures the quantity the paper's bounds actually
+//! constrain: the I/O of one fast memory of `S` words playing the
+//! no-recomputation RBW game along a fixed schedule. Dead values are deleted for free (rule R4), values
 //! evicted while still live are stored once, and outputs are flushed at
 //! the end — so a measured [`Trace`] sits *between* the certified bounds:
 //!
@@ -560,6 +558,36 @@ mod tests {
                 assert_eq!(a, b, "S = {s} {policy}");
             }
         }
+    }
+
+    #[test]
+    fn chain_in_a_roomy_cache_moves_only_its_endpoints() {
+        // chain(10) in 4 words: the rolling value stays resident and dead
+        // values are deleted for free, so only the input fetch and the
+        // output store reach slow memory — the RBW optimum of 2 for a
+        // chain, at any capacity that fits a link.
+        let g = chains::chain(10);
+        for policy in [CachePolicy::Lru, CachePolicy::Opt] {
+            let t = run(&g, policy, 4);
+            assert_eq!((t.loads, t.stores), (1, 1), "{policy}");
+            assert_eq!(t.hits, 9, "{policy}: every link is a hit");
+            assert_eq!(t.evictions, 0, "{policy}");
+        }
+    }
+
+    #[test]
+    fn shrinking_the_cache_grows_traffic() {
+        // ladder(8, 8) in its minimum feasible capacity spills live
+        // values that a roomy cache keeps resident.
+        let g = chains::ladder(8, 8);
+        let tight = run(&g, CachePolicy::Lru, min_feasible_capacity(&g) as u64);
+        let roomy = run(&g, CachePolicy::Lru, 64);
+        assert!(
+            tight.io() > roomy.io(),
+            "tight {tight:?} !> roomy {roomy:?}"
+        );
+        assert!(tight.evictions > 0 && roomy.evictions == 0);
+        assert_eq!(roomy.io(), (g.num_inputs() + g.num_outputs()) as u64);
     }
 
     #[test]

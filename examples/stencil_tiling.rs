@@ -7,47 +7,44 @@
 
 use dmc::kernels::grid::Stencil;
 use dmc::kernels::jacobi::{jacobi_cdag, jacobi_io_lower_bound};
-use dmc::machine::{Level, MemoryHierarchy};
 use dmc::sim::schedule::{by_level, tiled_jacobi_1d};
-use dmc::sim::simulate;
+use dmc::sim::{CachePolicy, Simulation};
 
 fn main() {
     let (n, t, s1) = (1024usize, 128usize, 64u64);
     println!("1-D Jacobi, n = {n}, T = {t}, cache = {s1} words\n");
     let j = jacobi_cdag(n, 1, t, Stencil::VonNeumann);
-    let h = MemoryHierarchy::new(vec![
-        Level::new("cache", 1, s1),
-        Level::new("DRAM", 1, u64::MAX),
-    ])
-    .expect("valid hierarchy");
-    let owner = vec![0usize; j.cdag.num_vertices()];
     let lb = jacobi_io_lower_bound(n, 1, t, 1, s1);
+    let mut sim = Simulation::new();
 
-    // Write-backs are schedule-independent in the CDAG model (every value
-    // is a distinct word that reaches DRAM once) — the schedule-dependent
-    // signal is the read traffic, which the pebble-game bounds constrain.
+    // The RBW simulator frees dead values, so both columns depend on the
+    // schedule; the reads are what the pebble-game bound constrains.
     println!(
         "{:<22} {:>11} {:>12} {:>10}",
         "schedule", "DRAM reads", "total words", "reads/LB"
     );
-    let untiled = simulate(&j.cdag, &h, &by_level(&j.cdag), &owner);
+    let untiled = sim
+        .run(&j.cdag, &by_level(&j.cdag), CachePolicy::Lru, s1)
+        .expect("valid schedule, feasible cache");
     println!(
         "{:<22} {:>11} {:>12} {:>9.1}x",
         "by-level (untiled)",
-        untiled.total_dram_reads(),
-        untiled.total_dram_traffic(),
-        untiled.total_dram_reads() as f64 / lb
+        untiled.loads,
+        untiled.io(),
+        untiled.loads as f64 / lb
     );
     let mut best = u64::MAX;
     for w in [4usize, 8, 16, 24] {
-        let r = simulate(&j.cdag, &h, &tiled_jacobi_1d(&j, w), &owner);
-        best = best.min(r.total_dram_reads());
+        let r = sim
+            .run(&j.cdag, &tiled_jacobi_1d(&j, w), CachePolicy::Lru, s1)
+            .expect("valid schedule, feasible cache");
+        best = best.min(r.loads);
         println!(
             "{:<22} {:>11} {:>12} {:>9.1}x",
             format!("skew-tiled w = {w}"),
-            r.total_dram_reads(),
-            r.total_dram_traffic(),
-            r.total_dram_reads() as f64 / lb
+            r.loads,
+            r.io(),
+            r.loads as f64 / lb
         );
     }
     println!(
@@ -55,7 +52,7 @@ fn main() {
         "Theorem-10 LB", lb as u64, "-", "1.0x"
     );
     assert!(
-        untiled.total_dram_traffic() as f64 >= lb,
+        untiled.io() as f64 >= lb,
         "simulated traffic may never beat the bound"
     );
     println!(
@@ -63,7 +60,7 @@ fn main() {
          schedule reads {:.1}x the lower bound, untiled reads {:.1}x — a {:.1}x\n\
          reduction from temporal blocking alone.",
         best as f64 / lb,
-        untiled.total_dram_reads() as f64 / lb,
-        untiled.total_dram_reads() as f64 / best as f64
+        untiled.loads as f64 / lb,
+        untiled.loads as f64 / best as f64
     );
 }

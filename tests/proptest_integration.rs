@@ -14,8 +14,9 @@ use dmc::core::games::rbw;
 use dmc::core::partition::construct::from_trace;
 use dmc::core::partition::validate_rbw;
 use dmc::kernels::random::{random_layered, RandomDagConfig};
-use dmc::machine::{Level, MemoryHierarchy};
-use dmc::sim::simulate;
+use dmc::sim::hierarchy_sim::split_by_owner;
+use dmc::sim::simulation::min_feasible_capacity;
+use dmc::sim::{CachePolicy, Simulation};
 use proptest::prelude::*;
 
 fn arb_cdag() -> impl Strategy<Value = Cdag> {
@@ -66,22 +67,20 @@ proptest! {
             "trivial {trivial} > exec {}", game.io);
     }
 
-    /// The simulator accepts any topological schedule and conserves work:
+    /// The simulator accepts any owner-driven split and conserves work:
     /// computes equal compute-vertex count; every input is fetched.
     #[test]
     fn simulator_conserves_work(g in arb_cdag(), procs in 1usize..4, s1 in 4u64..64) {
-        let order = topological_order(&g);
-        prop_assume!(is_valid_topological_order(&g, &order));
-        let h = MemoryHierarchy::new(vec![
-            Level::new("L1", procs, s1),
-            Level::new("mem", procs, u64::MAX),
-        ]).expect("valid");
-        let owner: Vec<usize> = (0..g.num_vertices()).map(|i| i % procs).collect();
-        let r = simulate(&g, &h, &order, &owner);
-        let total: u64 = r.computes_per_proc.iter().sum();
+        let split = split_by_owner(&g, procs, |v, _| v.index() % procs);
+        prop_assert!(is_valid_topological_order(&g, &split.order));
+        let total: u64 = split.per_proc_computes.iter().sum();
         prop_assert_eq!(total, g.num_compute_vertices() as u64);
+        let s = s1.max(min_feasible_capacity(&g) as u64);
+        let r = Simulation::new()
+            .run(&g, &split.order, CachePolicy::Lru, s)
+            .expect("valid order, feasible S");
         // At least every input crosses the DRAM link once.
-        prop_assert!(r.total_dram_reads() >= g.num_inputs() as u64);
+        prop_assert!(r.loads >= g.num_inputs() as u64);
     }
 
     /// Text round-trip through the interchange format is lossless.
