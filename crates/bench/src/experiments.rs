@@ -12,6 +12,8 @@ use dmc_core::games::optimal::{optimal_io, GameKind};
 use dmc_core::parallel::horizontal::ghost_cell_upper_bound;
 use dmc_core::partition::construct::{from_trace, greedy_partition};
 use dmc_core::partition::validate_rbw;
+use dmc_core::validate::SramSweep;
+pub use dmc_core::validate::DEFAULT_MACHINE_S1;
 use dmc_kernels::catalog::Registry;
 use dmc_kernels::grid::Stencil;
 use dmc_kernels::profile::{cg_profile, gmres_profile, jacobi_profile};
@@ -324,14 +326,9 @@ pub fn pebbling_experiment() -> String {
 }
 
 /// E11 — automated min-cut wavefronts vs analytic CG wavefronts, with
-/// automatic engine thread count.
-pub fn mincut_experiment() -> String {
-    mincut_experiment_with(0)
-}
-
-/// [`mincut_experiment`] with an explicit wavefront-engine worker count
-/// (`0` = `std::thread::available_parallelism`), as set by the `repro`
-/// binary's `--threads` flag.
+/// an explicit wavefront-engine worker count (`0` =
+/// `std::thread::available_parallelism`), as set by the `repro` binary's
+/// `--threads` flag.
 pub fn mincut_experiment_with(threads: usize) -> String {
     use dmc_cdag::engine::WavefrontEngine;
     use dmc_core::bounds::mincut::auto_wavefront_bound_with;
@@ -381,7 +378,7 @@ pub fn mincut_experiment_with(threads: usize) -> String {
     out
 }
 
-/// Output format of [`analyze_file`].
+/// Output format of the `repro analyze` / `repro simulate` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFormat {
     /// Human-readable provenance-tree report.
@@ -391,13 +388,8 @@ pub enum ReportFormat {
 }
 
 /// E13 — the unified bound-analysis pipeline on the seed kernels, with
-/// automatic engine/worker thread count.
-pub fn analyze_experiment() -> String {
-    analyze_experiment_with(0)
-}
-
-/// [`analyze_experiment`] with an explicit thread budget (`0` = auto), as
-/// set by the `repro` binary's `--threads` flag.
+/// an explicit thread budget (`0` = auto), as set by the `repro`
+/// binary's `--threads` flag.
 pub fn analyze_experiment_with(threads: usize) -> String {
     use dmc_cdag::builder::disjoint_union;
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
@@ -440,8 +432,8 @@ pub fn analyze_experiment_with(threads: usize) -> String {
         let best_single = r
             .best_whole_graph
             .as_ref()
-            // dmc-lint: allow(s1) -- AnalyzerConfig::default keeps the whole-graph baseline on, so best_whole_graph is always Some
-            .expect("baseline on by default")
+            // dmc-lint: allow(s1) -- the flat pipeline always runs the whole-graph portfolio, so best_whole_graph is always Some
+            .expect("flat reports carry the whole-graph baseline")
             .value;
         let composed = r
             .composed
@@ -477,19 +469,9 @@ pub fn analyze_experiment_with(threads: usize) -> String {
 }
 
 /// Analyzes a `.cdag` text file end to end with the unified pipeline —
-/// the `repro analyze <file>` backend.
-pub fn analyze_file(
-    path: &str,
-    sram: u64,
-    threads: usize,
-    format: ReportFormat,
-) -> Result<String, String> {
-    analyze_file_with(path, sram, threads, format, AnalyzeOptions::default())
-}
-
-/// [`analyze_file`] with the full flag set ([`AnalyzeOptions`]); the
-/// admission-limit override does not apply to files (nothing is built
-/// from parameters) and is ignored here.
+/// the `repro analyze <file>` backend, with the full flag set
+/// ([`AnalyzeOptions`]); the admission-limit override does not apply to
+/// files (nothing is built from parameters) and is ignored here.
 pub fn analyze_file_with(
     path: &str,
     sram: u64,
@@ -538,21 +520,10 @@ pub fn list_catalog() -> String {
     Registry::shared().format_catalog()
 }
 
-/// The spec strings of the E16 scale curve: sparse random layered DAGs
+/// The layer counts of the E16 scale curve: sparse random layered DAGs
 /// from 2^20 up past 10^7 vertices (layers × 65536-wide layers, expected
-/// in-degree 3). Shared with `benches/hierarchical.rs` so the bench and
-/// the table measure the same graphs.
-pub const E16_LAYERS: [usize; 4] = [16, 40, 80, 160];
-
-/// Renders one E16 spec string for a layer count.
-pub fn e16_spec(layers: usize) -> String {
-    format!("random(layers={layers},width=65536,deg=3,seed=7)")
-}
-
-/// E16 — the hierarchical scale curve with automatic thread count.
-pub fn scale_experiment() -> String {
-    scale_experiment_with(0)
-}
+/// in-degree 3).
+const E16_LAYERS: [usize; 4] = [16, 40, 80, 160];
 
 /// E16 — `analyze --hierarchical` over the sparse random scale curve:
 /// 2^20 up to ≥10^7 vertices through build + hierarchical analysis. The
@@ -573,7 +544,7 @@ pub fn scale_experiment_with(threads: usize) -> String {
     });
     let registry = Registry::shared();
     for layers in E16_LAYERS {
-        let spec = e16_spec(layers);
+        let spec = format!("random(layers={layers},width=65536,deg=3,seed=7)");
         let parsed = registry
             .parse(&spec)
             // dmc-lint: allow(s1) -- hardcoded E16 spec strings, all under the default 2^24 admission limit; parse failure is a broken fixture
@@ -618,20 +589,10 @@ pub struct AnalyzeOptions {
 }
 
 /// Analyzes a catalog kernel spec end to end with the unified pipeline —
-/// the `repro analyze --kernel <spec>` backend. A bad spec returns
-/// `Err` with the catalog's loud message (the CLI exits 2 on it, like
-/// every other usage error).
-pub fn analyze_kernel_spec(
-    spec: &str,
-    sram: u64,
-    threads: usize,
-    format: ReportFormat,
-) -> Result<String, String> {
-    analyze_kernel_spec_with(spec, sram, threads, format, AnalyzeOptions::default())
-}
-
-/// [`analyze_kernel_spec`] with the full flag set: hierarchical mode,
-/// explicit cluster count, and a raised/lowered admission limit.
+/// the `repro analyze --kernel <spec>` backend, with the full flag set:
+/// hierarchical mode, explicit cluster count, and a raised/lowered
+/// admission limit. A bad spec returns `Err` with the catalog's loud
+/// message (the CLI exits 2 on it, like every other usage error).
 pub fn analyze_kernel_spec_with(
     spec: &str,
     sram: u64,
@@ -683,13 +644,8 @@ pub fn analyze_kernel_spec_with(
 
 /// E14 — the full kernel catalog through the pipeline: every registered
 /// family built from its canonical default spec, with the analytic
-/// bound rendered next to the certified pipeline bound.
-pub fn catalog_experiment() -> String {
-    catalog_experiment_with(0)
-}
-
-/// [`catalog_experiment`] with an explicit thread budget (`0` = auto),
-/// as set by the `repro` binary's `--threads` flag.
+/// bound rendered next to the certified pipeline bound. `threads` is the
+/// budget (`0` = auto) set by the `repro` binary's `--threads` flag.
 pub fn catalog_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
     let s = 4u64;
@@ -746,12 +702,7 @@ pub const E15_CASES: [(&str, [u64; 3]); 4] = [
 /// E15 — the empirical validation sandwich: each kernel's own schedule
 /// hook simulated at a 3-point S-sweep, the measured I/O bracketed by
 /// the certified pipeline lower bound and the RBW executor upper bound.
-pub fn simulate_experiment() -> String {
-    simulate_experiment_with(0)
-}
-
-/// [`simulate_experiment`] with an explicit thread budget (`0` = auto),
-/// as set by `repro all --threads N`.
+/// `threads` is the budget (`0` = auto) set by `repro all --threads N`.
 pub fn simulate_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
     let mut out = String::from(
@@ -820,29 +771,9 @@ pub fn simulate_kernel_spec(
     let parsed = registry
         .parse(spec)
         .map_err(|e| format!("{e}\n(run `repro list` for the catalog)"))?;
+    let sweep = SramSweep::new(sweep).map_err(|e| format!("--{e}"))?;
     let g = parsed.build();
-    let srams: Vec<u64> = match sweep {
-        Some((lo, hi, step)) => {
-            if lo == 0 || step == 0 || hi < lo {
-                return Err(
-                    "--sram-sweep needs lo:hi:step with 1 <= lo <= hi and step >= 1".into(),
-                );
-            }
-            let points = (hi - lo) / step + 1;
-            if points > 256 {
-                return Err(format!(
-                    "--sram-sweep spans {points} points (limit 256); widen the step"
-                ));
-            }
-            (lo..=hi).step_by(step as usize).collect()
-        }
-        None => {
-            // Default: three octaves up from the schedule's minimum
-            // feasible capacity, so the sweep is always simulatable.
-            let required = dmc_sim::simulation::min_feasible_capacity(&g) as u64;
-            vec![required, 2 * required, 4 * required]
-        }
-    };
+    let srams = sweep.points(&g);
     let analyzer = Analyzer::new(AnalyzerConfig {
         threads,
         ..AnalyzerConfig::default()
@@ -867,10 +798,6 @@ pub const E17_KERNELS: [&str; 4] = [
     "fft(n=8)",
     "composite(n=3)",
 ];
-
-/// Default per-core level-1 capacity (words) for machine simulation when
-/// `--sram` is not given.
-pub const DEFAULT_MACHINE_S1: u64 = 64;
 
 /// Resolves the `--machine` argument to a list of [`dmc_machine::MachineSpec`]s:
 /// a catalog name (case-insensitive), `all`/`catalog` for the whole
@@ -968,12 +895,8 @@ pub fn simulate_machine(
 
 /// E17 — the machine-hierarchy roofline: every E17 kernel dealt across
 /// each catalog machine's cores, measured at every cache boundary, each
-/// row a certified sandwich with the Equation-7/8 verdicts.
-pub fn machine_experiment() -> String {
-    machine_experiment_with(0)
-}
-
-/// [`machine_experiment`] with an explicit thread budget (`0` = auto).
+/// row a certified sandwich with the Equation-7/8 verdicts. `threads` is
+/// the budget (`0` = auto).
 pub fn machine_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
     let mut out = String::from(
@@ -1159,13 +1082,9 @@ pub fn figures() -> String {
     out
 }
 
-/// Runs every experiment, concatenated — the full paper reproduction.
-pub fn run_all() -> String {
-    run_all_with(0)
-}
-
-/// [`run_all`] with an explicit thread budget for the stages that take
-/// one (mincut, analyze), as set by `repro all --threads N`.
+/// Runs every experiment, concatenated — the full paper reproduction,
+/// with an explicit thread budget for the stages that take one (mincut,
+/// analyze, …), as set by `repro all --threads N`.
 pub fn run_all_with(threads: usize) -> String {
     let mut out = String::new();
     out.push_str(&table1());
@@ -1229,7 +1148,7 @@ mod tests {
 
     #[test]
     fn mincut_experiment_matches_exact_constant() {
-        let t = mincut_experiment();
+        let t = mincut_experiment_with(0);
         // The 3n^d+2 column equals the auto column on every row.
         assert!(t.contains("3n^d+2"));
         for line in t.lines().skip(3).take(4) {
@@ -1324,7 +1243,14 @@ mod tests {
 
     #[test]
     fn analyze_kernel_spec_rejects_bad_specs_loudly() {
-        let err = analyze_kernel_spec("warp_drive(n=4)", 4, 1, ReportFormat::Text).unwrap_err();
+        let err = analyze_kernel_spec_with(
+            "warp_drive(n=4)",
+            4,
+            1,
+            ReportFormat::Text,
+            AnalyzeOptions::default(),
+        )
+        .unwrap_err();
         assert!(err.contains("unknown kernel"), "{err}");
         assert!(err.contains("repro list"), "{err}");
     }

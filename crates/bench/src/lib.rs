@@ -1,9 +1,9 @@
 //! # dmc-bench — experiment harness
 //!
-//! One module per paper artefact (see `DESIGN.md`'s per-experiment index
-//! and `EXPERIMENTS.md` for recorded outputs). Every experiment returns a
-//! formatted table so the `repro` binary and the criterion benches share
-//! the exact same code paths.
+//! One function per paper artefact (see `DESIGN.md`'s per-experiment
+//! index). Every experiment returns a formatted table, which the `repro`
+//! binary prints. Wall-clock performance is measured by the separate
+//! `perfbench` harness.
 
 #![forbid(unsafe_code)]
 

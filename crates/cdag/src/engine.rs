@@ -48,6 +48,7 @@
 
 use crate::bitset::BitSet;
 use crate::cut::MinWavefront;
+use crate::fanout::resolve_threads;
 use crate::flow::{VertexCut, WarmCut};
 use crate::graph::{Cdag, VertexId};
 use crate::reach::BatchReach;
@@ -258,21 +259,6 @@ impl<'g> WavefrontEngine<'g> {
         self
     }
 
-    /// The resolved worker count for a batch of `batch` anchors.
-    fn resolved_threads(&self, batch: usize) -> usize {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let t = if self.threads == 0 {
-            auto()
-        } else {
-            self.threads
-        };
-        t.clamp(1, batch.max(1))
-    }
-
     /// Cheap upper bound on `|W^min(x)|`: the wavefront size of the *level
     /// cut* at `depth(x)` (`S = {v : depth(v) ≤ depth(x)}`). That cut is
     /// convex, its `S` side contains `{x} ∪ Anc(x)`, its `T` side contains
@@ -332,7 +318,7 @@ impl<'g> WavefrontEngine<'g> {
         // `fetch_max` is the whole synchronization story.
         let best = AtomicU64::new(pack(floor, 0));
         let evaluated = AtomicUsize::new(0);
-        let threads = self.resolved_threads(batches.len());
+        let threads = resolve_threads(self.threads, batches.len());
         let locals: Vec<Option<(usize, MinWavefront)>> = if threads == 1 {
             vec![self.worker(anchors, &sched, &batches, &next, &best, &evaluated)]
         } else {

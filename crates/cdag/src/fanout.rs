@@ -10,10 +10,32 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The workspace's one thread-count rule: `threads == 0` selects
+/// `std::thread::available_parallelism` (the convention every
+/// `--threads` flag follows), and the result is clamped to `1..=work`,
+/// so there is at least one worker and never more workers than items.
+///
+/// ```
+/// use dmc_cdag::fanout::resolve_threads;
+///
+/// assert_eq!(resolve_threads(8, 3), 3);
+/// assert_eq!(resolve_threads(2, 100), 2);
+/// assert_eq!(resolve_threads(4, 0), 1);
+/// assert!(resolve_threads(0, usize::MAX) >= 1);
+/// ```
+pub fn resolve_threads(threads: usize, work: usize) -> usize {
+    let t = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    };
+    t.clamp(1, work.max(1))
+}
+
 /// Runs `work` on every index in `0..count` across up to `workers`
-/// scoped threads (`0` = `std::thread::available_parallelism` — the
-/// convention every `--threads` flag in the workspace follows) and
-/// returns the results in index order.
+/// scoped threads (resolved by [`resolve_threads`], so `0` =
+/// `std::thread::available_parallelism`) and returns the results in
+/// index order.
 ///
 /// Each worker calls `init` once to build its private mutable state (a
 /// scratch arena, a simulator, …) and then pulls indices from a shared
@@ -37,14 +59,7 @@ where
     I: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-    .clamp(1, count.max(1));
+    let workers = resolve_threads(workers, count);
     if workers <= 1 {
         let mut state = init();
         return (0..count).map(|i| work(&mut state, i)).collect();

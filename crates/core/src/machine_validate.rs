@@ -31,19 +31,17 @@
 //! *concrete* round-robin split — an achievability statement, not a
 //! lower bound.
 
-use crate::pipeline::{Analyzer, AnalyzerConfig};
+use crate::pipeline::Analyzer;
 use crate::validate::trace_json;
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::Cdag;
 use dmc_kernels::catalog::{KernelSpec, Registry, SpecError};
 use dmc_machine::{BandwidthVerdict, Constraint, MachineSpec};
 use dmc_sim::hierarchy_sim::{effective_capacities, split_round_robin, Inclusion};
-use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation, Trace};
+use dmc_sim::simulation::{CachePolicy, Simulation, Trace};
 use serde::json::Value;
 use serde::Serialize;
 use std::fmt;
-
-use crate::games::executor::{certified_upper_bound, EvictionPolicy};
 
 /// One hierarchy boundary of a [`MachineValidationReport`]: the sandwich
 /// at that level's aggregate capacity plus, on the DRAM boundary, the
@@ -392,8 +390,8 @@ impl Analyzer {
             ),
         };
         let dram_boundary = caps.len();
-        let workers = self.resolved_threads(caps.len());
-        let levels = fan_out_indexed(caps.len(), workers, Simulation::new, |sim, i| {
+        let threads = self.config().threads;
+        let levels = fan_out_indexed(caps.len(), threads, Simulation::new, |sim, i| {
             let (name, effective) = &caps[i];
             let level = i + 1;
             let balance = (level == dram_boundary).then(|| machine.vertical_balance());
@@ -453,62 +451,29 @@ impl Analyzer {
         policy: Option<CachePolicy>,
         sim: &mut Simulation,
     ) -> MachineLevelPoint {
-        // The certified lower bound at this boundary's aggregate
-        // capacity — the full portfolio (wavefront, partition, …), run
-        // single-threaded inside the per-level worker.
-        let lower = Analyzer::new(AnalyzerConfig {
-            sram: effective,
-            threads: 1,
-            verdicts: false,
-            ..self.config().clone()
-        })
-        .analyze(g)
-        .bound;
-        let required = min_feasible_capacity(g);
+        // The sandwich at this boundary's aggregate capacity — the lower
+        // side is the full portfolio (wavefront, partition, …).
+        let sw = self.sandwich(g, order, effective, policy, sim);
         let mut point = MachineLevelPoint {
             level,
             name: name.to_string(),
             units,
             capacity_words,
             effective_words: effective,
-            certified_lower: lower.value,
-            lower_method: lower.method.to_string(),
-            measured_opt: None,
-            measured_lru: None,
-            certified_upper: None,
+            certified_lower: sw.lower.value,
+            lower_method: sw.lower.method.to_string(),
+            measured_opt: sw.opt,
+            measured_lru: sw.lru,
+            certified_upper: sw.upper,
             balance_words_per_flop: balance,
             verdict: "-".to_string(),
-            infeasible: None,
+            infeasible: sw.required.map(|required| {
+                format!(
+                    "aggregate capacity < {required} words (largest in-degree + 1 of the schedule)"
+                )
+            }),
         };
-        if (required as u64) > effective {
-            point.infeasible = Some(format!(
-                "aggregate capacity < {required} words (largest in-degree + 1 of the schedule)"
-            ));
-            return point;
-        }
-        let want = |p: CachePolicy| policy.is_none() || policy == Some(p);
-        if want(CachePolicy::Opt) {
-            point.measured_opt = Some(
-                sim.run(g, order, CachePolicy::Opt, effective)
-                    // dmc-lint: allow(s1) -- feasibility of this capacity was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        if want(CachePolicy::Lru) {
-            point.measured_lru = Some(
-                sim.run(g, order, CachePolicy::Lru, effective)
-                    // dmc-lint: allow(s1) -- feasibility of this capacity was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        point.certified_upper = certified_upper_bound(
-            g,
-            usize::try_from(effective).unwrap_or(usize::MAX),
-            order,
-            EvictionPolicy::Lru,
-        )
-        .ok();
-        if let Some(b) = balance {
+        if let (Some(b), None) = (balance, &point.infeasible) {
             // Equations 7–8 at this boundary: certified LB/FLOP on the
             // lower side, the *measured* LRU traffic (an achieved
             // schedule, hence a valid upper bound) on the upper side.
@@ -530,6 +495,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::AnalyzerConfig;
     use dmc_machine::specs;
     use dmc_sim::hierarchy_sim::HierarchySimulation;
 

@@ -50,7 +50,7 @@ use crate::partition::construct::{greedy_partition, topological_clusters};
 use dmc_cdag::coarsen::{coarsen, ClusterInfo, CoarseDag};
 use dmc_cdag::components::weakly_connected_components;
 use dmc_cdag::engine::WavefrontEngine;
-use dmc_cdag::fanout::fan_out_indexed;
+use dmc_cdag::fanout::{fan_out_indexed, resolve_threads};
 use dmc_cdag::subgraph::{self, InducedSubCdag};
 use dmc_cdag::topo::topological_order;
 use dmc_cdag::{Cdag, VertexId};
@@ -60,30 +60,6 @@ use serde::json::Value;
 use serde::Serialize;
 use std::fmt::Write as _;
 
-/// One member of the analysis method portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortfolioMethod {
-    /// `|I| + |O \ I|` — every input loaded, every pure output stored.
-    Trivial,
-    /// Lemma 2 wavefronts on the untagged CDAG (Theorem-3 transfer), run
-    /// on the parallel batched [`dmc_cdag::engine::WavefrontEngine`].
-    Wavefront,
-    /// Lemma 1 via a counting relaxation of the minimum 2S-partition
-    /// block count, with a greedy 2S-partition as a validity diagnostic.
-    Partition2S,
-}
-
-impl PortfolioMethod {
-    /// The full portfolio, in default (tie-break) priority order.
-    pub fn all() -> Vec<PortfolioMethod> {
-        vec![
-            PortfolioMethod::Trivial,
-            PortfolioMethod::Wavefront,
-            PortfolioMethod::Partition2S,
-        ]
-    }
-}
-
 /// Configuration of an [`Analyzer`].
 #[derive(Debug, Clone)]
 pub struct AnalyzerConfig {
@@ -92,8 +68,6 @@ pub struct AnalyzerConfig {
     /// Worker-thread budget for both the component fan-out and the
     /// wavefront engine (`0` = `std::thread::available_parallelism`).
     pub threads: usize,
-    /// Methods to run on every (sub-)CDAG.
-    pub methods: Vec<PortfolioMethod>,
     /// Anchor sampling strategy for the wavefront method.
     pub anchor_strategy: AnchorStrategy,
     /// Decompose into weakly-connected components and compose the
@@ -101,18 +75,6 @@ pub struct AnalyzerConfig {
     /// or on connected graphs — the pipeline analyzes the whole graph
     /// only).
     pub decompose: bool,
-    /// When decomposing, also run the portfolio on the *whole* graph as a
-    /// comparison baseline (on by default). With the default portfolio
-    /// the composed bound provably dominates the baseline (wavefronts
-    /// never span components; the trivial bound is additive across
-    /// them), so large multi-component analyses can turn this off to
-    /// skip the duplicated whole-graph wavefront sweep. Caution: that
-    /// dominance argument needs the trivial method in the portfolio —
-    /// the 2S-counting bound alone is *not* additive, and skipping the
-    /// baseline under such a custom portfolio can weaken the final
-    /// bound. The baseline is always computed when there is nothing to
-    /// compose.
-    pub baseline: bool,
     /// Also report machine-balance verdicts (Equations 7–10) for the
     /// Table-1 machines, using the final bound normalized per FLOP.
     pub verdicts: bool,
@@ -123,10 +85,8 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             sram: 4,
             threads: 0,
-            methods: PortfolioMethod::all(),
             anchor_strategy: AnchorStrategy::Adaptive,
             decompose: true,
-            baseline: true,
             verdicts: false,
         }
     }
@@ -411,11 +371,10 @@ pub struct AnalysisReport {
     /// Per-component analyses (empty when decomposition was skipped).
     pub components: Vec<ComponentReport>,
     /// Every whole-graph portfolio result (the baseline the composed
-    /// bound is compared against; empty when the baseline was skipped via
-    /// [`AnalyzerConfig::baseline`]).
+    /// bound is compared against; empty in hierarchical reports).
     pub whole_graph: Vec<IoBound>,
-    /// The strongest single whole-graph method (`None` when the baseline
-    /// was skipped).
+    /// The strongest single whole-graph method (`None` in hierarchical
+    /// reports).
     pub best_whole_graph: Option<IoBound>,
     /// The Theorem-2 composition of per-component winners (`None` when
     /// decomposition was skipped or the graph is connected).
@@ -629,7 +588,6 @@ impl Analyzer {
     /// Builds an analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Self {
         assert!(config.sram >= 1, "S must be at least 1");
-        assert!(!config.methods.is_empty(), "empty method portfolio");
         Analyzer { config }
     }
 
@@ -648,15 +606,10 @@ impl Analyzer {
         let comps = weakly_connected_components(g);
         let decomposed = self.config.decompose && comps.count > 1;
 
-        // Whole-graph portfolio: the comparison baseline. Gets the full
-        // thread budget (the engine parallelizes internally). Skippable
-        // when a composed bound will exist (it dominates the baseline),
-        // mandatory otherwise — it is then the only bound source.
-        let whole_graph = if self.config.baseline || !decomposed {
-            self.portfolio(g, self.config.threads)
-        } else {
-            Vec::new()
-        };
+        // Whole-graph portfolio: the comparison baseline, and the only
+        // bound source when there is nothing to compose. Gets the full
+        // thread budget (the engine parallelizes internally).
+        let whole_graph = self.portfolio(g, self.config.threads);
         let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
 
         let (components, composed) = if decomposed {
@@ -674,10 +627,9 @@ impl Analyzer {
         };
 
         // The composed bound dominates the baseline (a whole-graph
-        // wavefront anchor never spans components, and the trivial and
-        // counting bounds are additive across them), but `max` with a
-        // composed-first tie-break keeps the final answer correct even
-        // for portfolios where that argument does not apply.
+        // wavefront anchor never spans components, and the trivial bound
+        // is additive across them); `max` with a composed-first
+        // tie-break keeps that winner.
         let bound = best_lower_bound(
             composed
                 .iter()
@@ -790,20 +742,18 @@ impl Analyzer {
             .expect("topological interval clustering yields an acyclic quotient");
         let pieces = subgraph::decompose(g, &assignment, cluster_count);
 
-        let total = self.resolved_threads(usize::MAX);
-        let workers = total.clamp(1, pieces.len());
+        let total = resolve_threads(self.config.threads, usize::MAX);
         let engine_threads = (total / pieces.len().max(1)).max(1);
         let clusters: Vec<ClusterSummary> = fan_out_indexed(
             pieces.len(),
-            workers,
+            total,
             || (),
             |_, i| self.cluster_summary(i, &pieces[i], &coarse.clusters[i], engine_threads, opts),
         );
         let composed =
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
-        let whole_wavefront = (n <= opts.whole_wavefront_limit
-            && self.config.methods.contains(&PortfolioMethod::Wavefront))
-        .then(|| self.wavefront_bound(g, total));
+        let whole_wavefront =
+            (n <= opts.whole_wavefront_limit).then(|| self.wavefront_bound(g, total));
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
@@ -906,9 +856,7 @@ impl Analyzer {
 
     /// Portfolio-plus-annotations for one cluster: the flat portfolio
     /// with the wavefront member size-gated (see
-    /// [`HierarchicalOptions::cluster_wavefront_limit`]); when every
-    /// configured method is gated off the always-sound trivial bound is
-    /// used as the floor.
+    /// [`HierarchicalOptions::cluster_wavefront_limit`]).
     fn cluster_summary(
         &self,
         index: usize,
@@ -918,22 +866,13 @@ impl Analyzer {
         opts: &HierarchicalOptions,
     ) -> ClusterSummary {
         let g = &piece.cdag;
-        let mut candidates: Vec<IoBound> = self
-            .config
-            .methods
-            .iter()
-            .filter_map(|m| match m {
-                PortfolioMethod::Trivial => Some(IoBound::trivial(g)),
-                PortfolioMethod::Wavefront => (g.num_vertices() <= opts.cluster_wavefront_limit)
-                    .then(|| self.wavefront_bound(g, engine_threads)),
-                PortfolioMethod::Partition2S => Some(partition2s_bound(g, self.config.sram)),
-            })
-            .collect();
-        if candidates.is_empty() {
-            candidates.push(IoBound::trivial(g));
-        }
-        let best = best_lower_bound(candidates.iter().cloned())
-            // dmc-lint: allow(s1) -- a trivial fallback is pushed when every method is gated off
+        let wavefront = (g.num_vertices() <= opts.cluster_wavefront_limit)
+            .then(|| self.wavefront_bound(g, engine_threads));
+        let candidates = std::iter::once(IoBound::trivial(g))
+            .chain(wavefront)
+            .chain(std::iter::once(partition2s_bound(g, self.config.sram)));
+        let best = best_lower_bound(candidates)
+            // dmc-lint: allow(s1) -- the trivial bound is always a candidate
             .expect("cluster portfolio is non-empty");
         ClusterSummary {
             index,
@@ -969,8 +908,7 @@ impl Analyzer {
     /// ([`fan_out_indexed`]); the index-ordered merge keeps the report
     /// bit-identical at any thread count.
     fn analyze_components(&self, pieces: &[InducedSubCdag]) -> Vec<ComponentReport> {
-        let total = self.resolved_threads(usize::MAX);
-        let workers = total.clamp(1, pieces.len());
+        let total = resolve_threads(self.config.threads, usize::MAX);
         // Split the budget: more threads than components means each
         // worker's wavefront engine gets a share instead of idling the
         // surplus. The engine's result is thread-count-invariant, so the
@@ -978,7 +916,7 @@ impl Analyzer {
         let engine_threads = (total / pieces.len()).max(1);
         fan_out_indexed(
             pieces.len(),
-            workers,
+            total,
             || (),
             |_, i| self.component_report(i, &pieces[i], engine_threads),
         )
@@ -1004,17 +942,16 @@ impl Analyzer {
         }
     }
 
-    /// Runs the configured method portfolio on one CDAG.
+    /// Runs the method portfolio on one CDAG, in tie-break priority
+    /// order: trivial counting (`|I| + |O \ I|`), Lemma-2 wavefronts on
+    /// the untagged CDAG (Theorem-3 transfer), and the Lemma-1
+    /// 2S-partition counting relaxation.
     fn portfolio(&self, g: &Cdag, engine_threads: usize) -> Vec<IoBound> {
-        self.config
-            .methods
-            .iter()
-            .map(|m| match m {
-                PortfolioMethod::Trivial => IoBound::trivial(g),
-                PortfolioMethod::Wavefront => self.wavefront_bound(g, engine_threads),
-                PortfolioMethod::Partition2S => partition2s_bound(g, self.config.sram),
-            })
-            .collect()
+        vec![
+            IoBound::trivial(g),
+            self.wavefront_bound(g, engine_threads),
+            partition2s_bound(g, self.config.sram),
+        ]
     }
 
     /// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
@@ -1033,17 +970,6 @@ impl Analyzer {
         } else {
             wf
         }
-    }
-
-    pub(crate) fn resolved_threads(&self, work_items: usize) -> usize {
-        let t = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        t.clamp(1, work_items.max(1))
     }
 }
 
@@ -1182,32 +1108,6 @@ mod tests {
         assert_eq!(r.component_count, 2);
         assert!(r.composed.is_none());
         assert_eq!(r.bound.value, r.best_whole_graph.as_ref().unwrap().value);
-    }
-
-    #[test]
-    fn baseline_off_skips_whole_graph_but_keeps_the_bound() {
-        let g = chains::independent_chains(3, 4);
-        let with = analyzer(2, 1).analyze(&g);
-        let without = Analyzer::new(AnalyzerConfig {
-            sram: 2,
-            threads: 1,
-            baseline: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&g);
-        assert!(without.whole_graph.is_empty());
-        assert!(without.best_whole_graph.is_none());
-        assert_eq!(without.bound.value, with.bound.value);
-        // On a connected graph the baseline is the only bound source and
-        // must run regardless of the flag.
-        let connected = Analyzer::new(AnalyzerConfig {
-            sram: 2,
-            threads: 1,
-            baseline: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&chains::ladder(3, 3));
-        assert!(connected.best_whole_graph.is_some());
     }
 
     #[test]

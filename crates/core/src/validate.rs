@@ -34,16 +34,74 @@
 //! arena per worker) with an index-ordered merge, so reports are
 //! **bit-identical at any thread count**.
 
+use crate::bounds::IoBound;
 use crate::games::executor::{certified_upper_bound, EvictionPolicy};
 use crate::pipeline::{Analyzer, AnalyzerConfig};
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::topo::is_valid_topological_order;
-use dmc_cdag::Cdag;
+use dmc_cdag::{Cdag, VertexId};
 use dmc_kernels::catalog::{KernelSpec, Registry, SpecError};
 use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation, Trace};
 use serde::json::Value;
 use serde::Serialize;
 use std::fmt;
+
+/// Default per-core level-1 capacity `S1` (words) of a machine
+/// simulation when the caller gives none (`repro simulate --machine`
+/// without `--sram`, `POST /simulate?machine=...` without `sram`).
+pub const DEFAULT_MACHINE_S1: u64 = 64;
+
+/// Most capacities one explicit `lo:hi:step` sweep may span.
+const MAX_SWEEP_POINTS: u64 = 256;
+
+/// The capacities a `simulate` run visits: an explicit `lo:hi:step`
+/// range, checked by [`SramSweep::new`] before any graph is built, or
+/// the default three octaves up from the schedule's minimum feasible
+/// capacity (`[req, 2·req, 4·req]`), which needs the graph and so is
+/// expanded by [`SramSweep::points`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SramSweep(Option<(u64, u64, u64)>);
+
+impl SramSweep {
+    /// Validates a `lo:hi:step` triple (`None` = the default sweep). The
+    /// error names the parameter as `sram-sweep`; the CLI prefixes its
+    /// flag dashes, the daemon appends a newline.
+    ///
+    /// ```
+    /// use dmc_core::validate::SramSweep;
+    ///
+    /// let g = dmc_kernels::fft::fft(8);
+    /// assert_eq!(SramSweep::new(Some((4, 12, 4))).unwrap().points(&g), [4, 8, 12]);
+    /// assert!(SramSweep::new(Some((8, 4, 1))).is_err());
+    /// assert!(SramSweep::new(Some((1, 10_000, 1))).is_err());
+    /// ```
+    pub fn new(range: Option<(u64, u64, u64)>) -> Result<Self, String> {
+        let Some((lo, hi, step)) = range else {
+            return Ok(SramSweep(None));
+        };
+        if lo == 0 || step == 0 || hi < lo {
+            return Err("sram-sweep needs lo:hi:step with 1 <= lo <= hi and step >= 1".into());
+        }
+        let points = (hi - lo) / step + 1;
+        if points > MAX_SWEEP_POINTS {
+            return Err(format!(
+                "sram-sweep spans {points} points (limit {MAX_SWEEP_POINTS}); widen the step"
+            ));
+        }
+        Ok(SramSweep(range))
+    }
+
+    /// The sweep's capacities for `g`, the graph the sweep will simulate.
+    pub fn points(&self, g: &Cdag) -> Vec<u64> {
+        match self.0 {
+            Some((lo, hi, step)) => (lo..=hi).step_by(step as usize).collect(),
+            None => {
+                let required = min_feasible_capacity(g) as u64;
+                vec![required, 2 * required, 4 * required]
+            }
+        }
+    }
+}
 
 /// One sweep point of a [`ValidationReport`]: everything the sandwich
 /// needs at a single fast-memory capacity.
@@ -302,8 +360,8 @@ impl Analyzer {
         srams: &[u64],
         policy: Option<CachePolicy>,
     ) -> ValidationReport {
-        let workers = self.resolved_threads(srams.len());
-        let points = fan_out_indexed(srams.len(), workers, Simulation::new, |sim, i| {
+        let threads = self.config().threads;
+        let points = fan_out_indexed(srams.len(), threads, Simulation::new, |sim, i| {
             self.validation_point(spec, g, srams[i], policy, sim)
         });
         ValidationReport {
@@ -331,9 +389,40 @@ impl Analyzer {
             spec.render(),
             sched.note
         );
-        // The certified lower bound at this S: the full pipeline, run
-        // single-threaded inside the per-point worker (the outer fan-out
-        // owns the parallelism; the result is thread-invariant anyway).
+        let sw = self.sandwich(g, &sched.order, s, policy, sim);
+        ValidationPoint {
+            sram: s,
+            certified_lower: sw.lower.value,
+            lower_method: sw.lower.method.to_string(),
+            measured_opt: sw.opt,
+            measured_lru: sw.lru,
+            certified_upper: sw.upper,
+            analytic_upper: spec
+                .kernel()
+                .analytic_upper_bound(spec.values(), s)
+                .map(|a| a.value),
+            schedule_note: sched.note,
+            infeasible: sw.required.map(|required| {
+                format!("S < {required} words (largest in-degree + 1 of the schedule)")
+            }),
+        }
+    }
+
+    /// The sandwich at one capacity `s`, shared by [`ValidationPoint`]
+    /// and [`MachineLevelPoint`](crate::MachineLevelPoint): the full
+    /// pipeline's certified lower bound, then — when `s` is feasible —
+    /// `order` replayed under the policies `policy` admits and the RBW
+    /// executor's certified upper bound for the same order.
+    pub(crate) fn sandwich(
+        &self,
+        g: &Cdag,
+        order: &[VertexId],
+        s: u64,
+        policy: Option<CachePolicy>,
+        sim: &mut Simulation,
+    ) -> Sandwich {
+        // Run single-threaded inside the per-point worker: the outer
+        // fan-out owns the parallelism, and the bound is thread-invariant.
         let lower = Analyzer::new(AnalyzerConfig {
             sram: s,
             threads: 1,
@@ -342,52 +431,51 @@ impl Analyzer {
         })
         .analyze(g)
         .bound;
-        let analytic_upper = spec
-            .kernel()
-            .analytic_upper_bound(spec.values(), s)
-            .map(|a| a.value);
         let required = min_feasible_capacity(g);
-        let mut point = ValidationPoint {
-            sram: s,
-            certified_lower: lower.value,
-            lower_method: lower.method.to_string(),
-            measured_opt: None,
-            measured_lru: None,
-            certified_upper: None,
-            analytic_upper,
-            schedule_note: sched.note,
-            infeasible: None,
+        let mut sw = Sandwich {
+            lower,
+            required: None,
+            opt: None,
+            lru: None,
+            upper: None,
         };
         if (required as u64) > s {
-            point.infeasible = Some(format!(
-                "S < {required} words (largest in-degree + 1 of the schedule)"
-            ));
-            return point;
+            sw.required = Some(required);
+            return sw;
         }
-        let want = |p: CachePolicy| policy.is_none() || policy == Some(p);
-        if want(CachePolicy::Opt) {
-            point.measured_opt = Some(
-                sim.run(g, &sched.order, CachePolicy::Opt, s)
+        let mut measure = |p: CachePolicy| {
+            (policy.is_none() || policy == Some(p)).then(|| {
+                sim.run(g, order, p, s)
                     // dmc-lint: allow(s1) -- feasibility of this S was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        if want(CachePolicy::Lru) {
-            point.measured_lru = Some(
-                sim.run(g, &sched.order, CachePolicy::Lru, s)
-                    // dmc-lint: allow(s1) -- feasibility of this S was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        point.certified_upper = certified_upper_bound(
+                    .expect("feasibility pre-checked")
+            })
+        };
+        sw.opt = measure(CachePolicy::Opt);
+        sw.lru = measure(CachePolicy::Lru);
+        sw.upper = certified_upper_bound(
             g,
             usize::try_from(s).unwrap_or(usize::MAX),
-            &sched.order,
+            order,
             EvictionPolicy::Lru,
         )
         .ok();
-        point
+        sw
     }
+}
+
+/// What [`Analyzer::sandwich`] measured at one capacity.
+pub(crate) struct Sandwich {
+    /// The pipeline's certified lower bound.
+    pub(crate) lower: IoBound,
+    /// The schedule's minimum feasible capacity when the capacity was
+    /// below it (then nothing was measured), `None` when feasible.
+    pub(crate) required: Option<usize>,
+    /// Measured traffic under OPT, when the policy filter admits it.
+    pub(crate) opt: Option<Trace>,
+    /// Measured traffic under LRU, when the policy filter admits it.
+    pub(crate) lru: Option<Trace>,
+    /// The RBW executor's certified upper bound for the same order.
+    pub(crate) upper: Option<u64>,
 }
 
 #[cfg(test)]

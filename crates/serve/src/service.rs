@@ -20,6 +20,7 @@
 use crate::cache::{CacheConfig, Outcome, ResultCache};
 use crate::http::Request;
 use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
+use dmc_core::validate::{SramSweep, DEFAULT_MACHINE_S1};
 use dmc_kernels::catalog::{Registry, SpecError, DEFAULT_MAX_BUILD_VERTICES};
 use dmc_sim::CachePolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -402,8 +403,7 @@ impl Service {
 "
                     ))
                 })?,
-                // Mirrors `dmc_bench::DEFAULT_MACHINE_S1`.
-                None => 64,
+                None => DEFAULT_MACHINE_S1,
             };
             let machine_key = machines
                 .iter()
@@ -425,6 +425,9 @@ impl Service {
                 },
             });
         }
+        // Checked here, before the cache and any graph build, so a
+        // malformed sweep costs nothing.
+        let srams = SramSweep::new(sweep).map_err(|e| HttpError::bad_request(format!("{e}\n")))?;
         let sweep_key = sweep.map_or("auto".to_string(), |(lo, hi, st)| format!("{lo}:{hi}:{st}"));
         let key = format!(
             "simulate spec={} policy={policy_key} sweep={sweep_key}",
@@ -434,7 +437,7 @@ impl Service {
             key,
             kind: PlanKind::Simulate {
                 spec,
-                sweep,
+                srams,
                 policy,
                 threads,
             },
@@ -499,7 +502,7 @@ enum PlanKind {
     },
     Simulate {
         spec: String,
-        sweep: Option<(u64, u64, u64)>,
+        srams: SramSweep,
         policy: Option<CachePolicy>,
         threads: usize,
     },
@@ -578,37 +581,16 @@ impl Plan {
             }
             PlanKind::Simulate {
                 spec,
-                sweep,
+                srams,
                 policy,
                 threads,
             } => {
-                // Mirrors `dmc_bench::simulate_kernel_spec` (Json),
-                // including the sweep validation messages.
+                // Mirrors `dmc_bench::simulate_kernel_spec` (Json).
                 let parsed = Registry::shared()
                     .parse(spec)
                     .map_err(|e| HttpError::bad_request(format!("{e}\n")))?;
                 let g = parsed.build();
-                let srams: Vec<u64> = match sweep {
-                    Some((lo, hi, step)) => {
-                        if *lo == 0 || *step == 0 || hi < lo {
-                            return Err(HttpError::bad_request(
-                                "sram-sweep needs lo:hi:step with 1 <= lo <= hi and step >= 1\n"
-                                    .to_string(),
-                            ));
-                        }
-                        let points = (hi - lo) / step + 1;
-                        if points > 256 {
-                            return Err(HttpError::bad_request(format!(
-                                "sram-sweep spans {points} points (limit 256); widen the step\n"
-                            )));
-                        }
-                        (*lo..=*hi).step_by(*step as usize).collect()
-                    }
-                    None => {
-                        let required = dmc_sim::simulation::min_feasible_capacity(&g) as u64;
-                        vec![required, 2 * required, 4 * required]
-                    }
-                };
+                let srams = srams.points(&g);
                 let analyzer = Analyzer::new(AnalyzerConfig {
                     threads: *threads,
                     ..AnalyzerConfig::default()
@@ -846,6 +828,11 @@ mod tests {
         ));
         assert_eq!(r.status, 400);
         assert!(r.body.contains("limit 256"), "{}", r.body);
+        // Rejected at planning time: nothing was built, analyzed or
+        // looked up in the cache.
+        let m = s.metrics_text();
+        assert!(m.contains("analyses_performed 0\n"), "{m}");
+        assert!(m.contains("cache_misses 0\n"), "{m}");
     }
 
     #[test]
