@@ -98,38 +98,61 @@ pub fn auto_wavefront_bound_with(
     strategy: AnchorStrategy,
     threads: usize,
 ) -> IoBound {
-    let engine = WavefrontEngine::new(g).with_threads(threads);
-    if let AnchorStrategy::Adaptive = strategy {
-        let run = engine.run_adaptive();
-        return match run.best {
-            Some(w) => IoBound::new(
-                lemma2_bound(w.size, s),
-                Method::Wavefront,
-                // Note: only the deterministic anchor count goes into the
-                // detail string — `anchors_evaluated` can vary with thread
-                // timing (see `EngineRun`), and this bound is documented
-                // as bit-identical at any thread count.
-                format!(
-                    "2·(w^max − S) with w^max = {} at anchor {} (adaptive: {} anchors)",
-                    w.size, w.anchor, run.anchors_considered
-                ),
-            ),
-            None => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
+    WavefrontWitness::new(g, strategy, threads).bound(s)
+}
+
+/// The `S`-free outcome of one wavefront-engine run: the winning
+/// `(w^max, anchor)` and the deterministic anchor count. `S` enters
+/// Lemma 2 only through the final arithmetic, so one witness yields the
+/// bound at every capacity ([`WavefrontWitness::bound`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WavefrontWitness {
+    /// `(w^max, anchor)` of the best anchor, `None` without anchors.
+    best: Option<(usize, VertexId)>,
+    /// Anchors the run considered: `EngineRun::anchors_considered` of
+    /// an adaptive run, the sampled anchor count of a fixed strategy.
+    /// Only this deterministic count goes into the bound's note —
+    /// `anchors_evaluated` can vary with thread timing (see `EngineRun`).
+    anchors: usize,
+    /// Whether the anchors came from [`AnchorStrategy::Adaptive`].
+    adaptive: bool,
+}
+
+impl WavefrontWitness {
+    /// Runs the engine once on `g` with `threads` workers; the witness
+    /// is bit-identical at any thread count.
+    pub(crate) fn new(g: &Cdag, strategy: AnchorStrategy, threads: usize) -> Self {
+        let engine = WavefrontEngine::new(g).with_threads(threads);
+        let adaptive = strategy == AnchorStrategy::Adaptive;
+        let (run, anchors) = if adaptive {
+            let run = engine.run_adaptive();
+            let considered = run.anchors_considered;
+            (run, considered)
+        } else {
+            let anchors = select_anchors(g, strategy);
+            (engine.run(&anchors), anchors.len())
         };
+        WavefrontWitness {
+            best: run.best.map(|w| (w.size, w.anchor)),
+            anchors,
+            adaptive,
+        }
     }
-    let anchors = select_anchors(g, strategy);
-    match engine.run(&anchors).best {
-        Some(w) => IoBound::new(
-            lemma2_bound(w.size, s),
+
+    /// Lemma 2 at capacity `s`: `2·(w^max − S)`, clamped at zero.
+    pub(crate) fn bound(&self, s: u64) -> IoBound {
+        let Some((size, anchor)) = self.best else {
+            return IoBound::new(0.0, Method::Wavefront, "no anchors".to_string());
+        };
+        let sampled = if self.adaptive { "adaptive: " } else { "" };
+        IoBound::new(
+            lemma2_bound(size, s),
             Method::Wavefront,
             format!(
-                "2·(w^max − S) with w^max = {} at anchor {} ({} anchors)",
-                w.size,
-                w.anchor,
-                anchors.len()
+                "2·(w^max − S) with w^max = {size} at anchor {anchor} ({sampled}{} anchors)",
+                self.anchors
             ),
-        ),
-        None => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
+        )
     }
 }
 
@@ -245,6 +268,63 @@ mod tests {
                         b.provenance.note, expected.1,
                         "{name}/{strategy:?} @ {threads}t"
                     );
+                }
+            }
+        }
+    }
+
+    /// One witness answers every `S` exactly as a fresh per-`S` engine
+    /// run does (the pre-witness implementation, verbatim): value and
+    /// note, for every strategy, at `S = 1`, `w^max ± 1` and `u64::MAX`.
+    #[test]
+    fn one_witness_matches_a_fresh_run_at_every_s() {
+        fn fresh(g: &Cdag, s: u64, strategy: AnchorStrategy) -> IoBound {
+            let engine = WavefrontEngine::new(g).with_threads(1);
+            let (run, anchors, sampled) = match strategy {
+                AnchorStrategy::Adaptive => {
+                    let run = engine.run_adaptive();
+                    let n = run.anchors_considered;
+                    (run, n, "adaptive: ")
+                }
+                _ => {
+                    let anchors = select_anchors(g, strategy);
+                    (engine.run(&anchors), anchors.len(), "")
+                }
+            };
+            match run.best {
+                Some(w) => IoBound::new(
+                    lemma2_bound(w.size, s),
+                    Method::Wavefront,
+                    format!(
+                        "2·(w^max − S) with w^max = {} at anchor {} ({sampled}{anchors} anchors)",
+                        w.size, w.anchor
+                    ),
+                ),
+                None => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
+            }
+        }
+        let empty = dmc_cdag::builder::CdagBuilder::new().build().unwrap();
+        for g in [
+            untagged(&chains::ladder(6, 5)),
+            untagged(&chains::binary_reduction(16)),
+            empty,
+        ] {
+            for strategy in [
+                AnchorStrategy::All,
+                AnchorStrategy::PerLevel,
+                AnchorStrategy::Adaptive,
+            ] {
+                let witness = WavefrontWitness::new(&g, strategy, 2);
+                let w_max = witness.best.map_or(0, |(size, _)| size as u64);
+                for s in [1, w_max.saturating_sub(1).max(1), w_max + 1, u64::MAX] {
+                    let (got, want) = (witness.bound(s), fresh(&g, s, strategy));
+                    assert_eq!(got.value, want.value, "{strategy:?} S={s}");
+                    assert_eq!(
+                        got.provenance.note, want.provenance.note,
+                        "{strategy:?} S={s}"
+                    );
+                    let via_fn = auto_wavefront_bound_with(&g, s, strategy, 1);
+                    assert_eq!(got.to_string(), via_fn.to_string(), "{strategy:?} S={s}");
                 }
             }
         }

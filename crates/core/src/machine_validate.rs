@@ -31,7 +31,7 @@
 //! *concrete* round-robin split — an achievability statement, not a
 //! lower bound.
 
-use crate::pipeline::Analyzer;
+use crate::pipeline::{Analyzer, GraphFacts};
 use crate::validate::trace_json;
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::Cdag;
@@ -391,12 +391,13 @@ impl Analyzer {
         };
         let dram_boundary = caps.len();
         let threads = self.config().threads;
+        let facts = GraphFacts::new(g, self.config());
         let levels = fan_out_indexed(caps.len(), threads, Simulation::new, |sim, i| {
             let (name, effective) = &caps[i];
             let level = i + 1;
             let balance = (level == dram_boundary).then(|| machine.vertical_balance());
-            self.machine_level_point(
-                g,
+            machine_level_point(
+                &facts,
                 &split.order,
                 level,
                 name,
@@ -435,61 +436,58 @@ impl Analyzer {
             levels,
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn machine_level_point(
-        &self,
-        g: &Cdag,
-        order: &[dmc_cdag::VertexId],
-        level: usize,
-        name: &str,
-        units: usize,
-        capacity_words: u64,
-        effective: u64,
-        balance: Option<f64>,
-        flops: f64,
-        policy: Option<CachePolicy>,
-        sim: &mut Simulation,
-    ) -> MachineLevelPoint {
-        // The sandwich at this boundary's aggregate capacity — the lower
-        // side is the full portfolio (wavefront, partition, …).
-        let sw = self.sandwich(g, order, effective, policy, sim);
-        let mut point = MachineLevelPoint {
-            level,
-            name: name.to_string(),
-            units,
-            capacity_words,
-            effective_words: effective,
-            certified_lower: sw.lower.value,
-            lower_method: sw.lower.method.to_string(),
-            measured_opt: sw.opt,
-            measured_lru: sw.lru,
-            certified_upper: sw.upper,
-            balance_words_per_flop: balance,
-            verdict: "-".to_string(),
-            infeasible: sw.required.map(|required| {
-                format!(
-                    "aggregate capacity < {required} words (largest in-degree + 1 of the schedule)"
-                )
-            }),
+#[allow(clippy::too_many_arguments)]
+fn machine_level_point(
+    facts: &GraphFacts<'_>,
+    order: &[dmc_cdag::VertexId],
+    level: usize,
+    name: &str,
+    units: usize,
+    capacity_words: u64,
+    effective: u64,
+    balance: Option<f64>,
+    flops: f64,
+    policy: Option<CachePolicy>,
+    sim: &mut Simulation,
+) -> MachineLevelPoint {
+    // The sandwich at this boundary's aggregate capacity — the lower
+    // side is the full portfolio (wavefront, partition, …).
+    let sw = Analyzer::sandwich(facts, order, effective, policy, sim);
+    let mut point = MachineLevelPoint {
+        level,
+        name: name.to_string(),
+        units,
+        capacity_words,
+        effective_words: effective,
+        certified_lower: sw.lower.value,
+        lower_method: sw.lower.method.to_string(),
+        measured_opt: sw.opt,
+        measured_lru: sw.lru,
+        certified_upper: sw.upper,
+        balance_words_per_flop: balance,
+        verdict: "-".to_string(),
+        infeasible: sw.required.map(|required| {
+            format!("aggregate capacity < {required} words (largest in-degree + 1 of the schedule)")
+        }),
+    };
+    if let (Some(b), None) = (balance, &point.infeasible) {
+        // Equations 7–8 at this boundary: certified LB/FLOP on the
+        // lower side, the *measured* LRU traffic (an achieved
+        // schedule, hence a valid upper bound) on the upper side.
+        let measured = point
+            .measured_lru
+            .as_ref()
+            .or(point.measured_opt.as_ref())
+            .map(|t| t.io() as f64 / flops.max(1.0));
+        let c = Constraint {
+            lower_words_per_flop: Some(point.certified_lower / flops.max(1.0)),
+            upper_words_per_flop: measured,
         };
-        if let (Some(b), None) = (balance, &point.infeasible) {
-            // Equations 7–8 at this boundary: certified LB/FLOP on the
-            // lower side, the *measured* LRU traffic (an achieved
-            // schedule, hence a valid upper bound) on the upper side.
-            let measured = point
-                .measured_lru
-                .as_ref()
-                .or(point.measured_opt.as_ref())
-                .map(|t| t.io() as f64 / flops.max(1.0));
-            let c = Constraint {
-                lower_words_per_flop: Some(point.certified_lower / flops.max(1.0)),
-                upper_words_per_flop: measured,
-            };
-            point.verdict = roofline_verdict(c.verdict(b)).to_string();
-        }
-        point
+        point.verdict = roofline_verdict(c.verdict(b)).to_string();
     }
+    point
 }
 
 #[cfg(test)]

@@ -20,6 +20,12 @@
 //! 5. optionally normalize the result per FLOP (Equation 9 with one
 //!    node) and ask [`crate::analysis`] for machine-balance verdicts.
 //!
+//! Steps 1–2 and the `S`-free halves of the portfolio (the trivial bound
+//! and the wavefront engine's witness) form one structural pass per
+//! graph; `S` enters only the per-`S` step (Lemma-2 arithmetic, the
+//! 2S-partition member, composition), so validating one graph at many
+//! capacities runs the engine once.
+//!
 //! The result is an [`AnalysisReport`] whose bounds carry full
 //! [`Provenance`](crate::bounds::Provenance) trees: every node records
 //! which theorem was applied with which parameters, and composed nodes
@@ -44,7 +50,7 @@
 
 use crate::analysis::{analyze, AlgorithmProfile, BalanceReport};
 use crate::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transfer};
-use crate::bounds::mincut::{auto_wavefront_bound_with, AnchorStrategy};
+use crate::bounds::mincut::{AnchorStrategy, WavefrontWitness};
 use crate::bounds::{best_lower_bound, lemma1_lower_bound, IoBound, Method};
 use crate::partition::construct::{greedy_partition, topological_clusters};
 use dmc_cdag::coarsen::{coarsen, ClusterInfo, CoarseDag};
@@ -601,58 +607,29 @@ impl Analyzer {
         &self.config
     }
 
-    /// Runs the full pipeline on `g`.
+    /// Runs the full pipeline on `g`: one `S`-free structural pass over
+    /// the graph, then the per-`S` step at the configured `S`.
     pub fn analyze(&self, g: &Cdag) -> AnalysisReport {
-        let comps = weakly_connected_components(g);
-        let decomposed = self.config.decompose && comps.count > 1;
+        self.report(&GraphFacts::new(g, &self.config))
+    }
 
-        // Whole-graph portfolio: the comparison baseline, and the only
-        // bound source when there is nothing to compose. Gets the full
-        // thread budget (the engine parallelizes internally).
-        let whole_graph = self.portfolio(g, self.config.threads);
-        let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
-
-        let (components, composed) = if decomposed {
-            let pieces = subgraph::decompose(g, &comps.assignment, comps.count);
-            let components = self.analyze_components(&pieces);
-            let composed = decomposition_sum(
-                &components
-                    .iter()
-                    .map(|c| c.best.clone())
-                    .collect::<Vec<_>>(),
-            );
-            (components, Some(composed))
-        } else {
-            (Vec::new(), None)
-        };
-
-        // The composed bound dominates the baseline (a whole-graph
-        // wavefront anchor never spans components, and the trivial bound
-        // is additive across them); `max` with a composed-first
-        // tie-break keeps that winner.
-        let bound = best_lower_bound(
-            composed
-                .iter()
-                .cloned()
-                .chain(best_whole_graph.iter().cloned()),
-        )
-        // dmc-lint: allow(s1) -- the portfolio always contains the whole-graph baseline, so a best element exists
-        .expect("composed or whole-graph best always exists");
-
-        let balance = self.balance_verdicts(g, bound.value);
-
+    /// The per-`S` step at the configured `S`, assembled into a report.
+    fn report(&self, facts: &GraphFacts<'_>) -> AnalysisReport {
+        let g = facts.g;
+        let bounds = facts.bounds_at(self.config.sram, self.config.threads);
+        let balance = self.balance_verdicts(g, bounds.bound.value);
         AnalysisReport {
             vertices: g.num_vertices(),
             edges: g.num_edges(),
             inputs: g.num_inputs(),
             outputs: g.num_outputs(),
             sram: self.config.sram,
-            component_count: comps.count,
-            components,
-            whole_graph,
-            best_whole_graph,
-            composed,
-            bound,
+            component_count: facts.component_count,
+            components: bounds.components,
+            whole_graph: bounds.whole_graph,
+            best_whole_graph: bounds.best_whole_graph,
+            composed: bounds.composed,
+            bound: bounds.bound,
             balance,
             kernel: None,
             hierarchy: None,
@@ -752,16 +729,21 @@ impl Analyzer {
         );
         let composed =
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
-        let whole_wavefront =
-            (n <= opts.whole_wavefront_limit).then(|| self.wavefront_bound(g, total));
+        // One S-free pass serves both the whole-graph wavefront and the
+        // flat comparison; above both gates nothing more is computed.
+        let flat_facts = (n <= opts.flat_compare_limit).then(|| GraphFacts::new(g, &self.config));
+        let whole_wavefront = (n <= opts.whole_wavefront_limit).then(|| match &flat_facts {
+            Some(facts) => facts.whole.wavefront(self.config.sram),
+            None => self.wavefront_bound(g, total),
+        });
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
         // dmc-lint: allow(s1) -- the composed bound is always present
         .expect("the Theorem-2 composition always exists");
         let coarse_summary = self.coarse_summary(&coarse, total);
-        let flat = (n <= opts.flat_compare_limit).then(|| {
-            let r = self.analyze(g);
+        let flat = flat_facts.map(|facts| {
+            let r = self.report(&facts);
             FlatComparison {
                 bound: r.bound.value,
                 method: r.bound.method.to_string(),
@@ -904,31 +886,170 @@ impl Analyzer {
         }
     }
 
-    /// Fans per-component analyses out over scoped workers
-    /// ([`fan_out_indexed`]); the index-ordered merge keeps the report
+    /// Lemma 2 plus the Theorem-3 transfer at the configured `S`, on a
+    /// graph analyzed for its wavefront member only.
+    fn wavefront_bound(&self, g: &Cdag, engine_threads: usize) -> IoBound {
+        PieceFacts::new(g, self.config.anchor_strategy, engine_threads).wavefront(self.config.sram)
+    }
+}
+
+/// The `S`-free facts of one graph, computed once: the component split
+/// (Theorem 2), and for the whole graph and every extracted component
+/// the trivial bound and the wavefront-engine witness on the untagged
+/// graph (Lemma 2 after the Theorem-3 untagging). `S` enters only the
+/// per-`S` step, [`GraphFacts::bounds_at`], which is Lemma-2 arithmetic,
+/// the 2S-partition member, and the Theorem-2 composition — so
+/// validating one graph at many capacities runs the engine once.
+pub(crate) struct GraphFacts<'g> {
+    g: &'g Cdag,
+    component_count: usize,
+    whole: PieceFacts,
+    /// The extracted components with their facts, in component order;
+    /// empty unless decomposing a graph of several components.
+    components: Vec<(InducedSubCdag, PieceFacts)>,
+}
+
+/// The `S`-free members of one graph's method portfolio.
+struct PieceFacts {
+    trivial: IoBound,
+    /// The engine's witness on the untagged graph.
+    witness: WavefrontWitness,
+    /// The graph has tagged inputs, so the Lemma-2 bound on the untagged
+    /// graph reaches it through the Theorem-3 untagging transfer.
+    tagged: bool,
+}
+
+/// The per-`S` step's bounds, in [`AnalysisReport`] field order.
+pub(crate) struct PortfolioBounds {
+    whole_graph: Vec<IoBound>,
+    best_whole_graph: Option<IoBound>,
+    components: Vec<ComponentReport>,
+    composed: Option<IoBound>,
+    pub(crate) bound: IoBound,
+}
+
+impl<'g> GraphFacts<'g> {
+    /// The structural pass over `g` under `config`'s decomposition and
+    /// anchor settings. The whole-graph engine gets the full thread
+    /// budget; components fan out over [`fan_out_indexed`] workers, each
+    /// engine getting a share of the budget. The witnesses are
+    /// thread-count-invariant, so every report built from the facts is
     /// bit-identical at any thread count.
-    fn analyze_components(&self, pieces: &[InducedSubCdag]) -> Vec<ComponentReport> {
-        let total = resolve_threads(self.config.threads, usize::MAX);
-        // Split the budget: more threads than components means each
-        // worker's wavefront engine gets a share instead of idling the
-        // surplus. The engine's result is thread-count-invariant, so the
-        // bit-identical-report guarantee is unaffected.
-        let engine_threads = (total / pieces.len()).max(1);
-        fan_out_indexed(
-            pieces.len(),
-            total,
-            || (),
-            |_, i| self.component_report(i, &pieces[i], engine_threads),
-        )
+    pub(crate) fn new(g: &'g Cdag, config: &AnalyzerConfig) -> Self {
+        let comps = weakly_connected_components(g);
+        let strategy = config.anchor_strategy;
+        let whole = PieceFacts::new(g, strategy, config.threads);
+        let components = if config.decompose && comps.count > 1 {
+            let pieces = subgraph::decompose(g, &comps.assignment, comps.count);
+            let total = resolve_threads(config.threads, usize::MAX);
+            let engine_threads = (total / pieces.len()).max(1);
+            let facts = fan_out_indexed(
+                pieces.len(),
+                total,
+                || (),
+                |_, i| PieceFacts::new(&pieces[i].cdag, strategy, engine_threads),
+            );
+            pieces.into_iter().zip(facts).collect()
+        } else {
+            Vec::new()
+        };
+        GraphFacts {
+            g,
+            component_count: comps.count,
+            whole,
+            components,
+        }
     }
 
-    fn component_report(
-        &self,
-        index: usize,
-        piece: &InducedSubCdag,
-        engine_threads: usize,
-    ) -> ComponentReport {
-        let candidates = self.portfolio(&piece.cdag, engine_threads);
+    /// The graph the facts describe.
+    pub(crate) fn graph(&self) -> &'g Cdag {
+        self.g
+    }
+
+    /// The per-`S` step: every portfolio at capacity `s`, the Theorem-2
+    /// composition of the per-component winners, and the final bound.
+    /// Components fan out over `threads` workers with an index-ordered
+    /// merge.
+    pub(crate) fn bounds_at(&self, s: u64, threads: usize) -> PortfolioBounds {
+        let whole_graph = self.whole.portfolio(self.g, s);
+        let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
+        let (components, composed) = if self.components.is_empty() {
+            (Vec::new(), None)
+        } else {
+            let components: Vec<ComponentReport> = fan_out_indexed(
+                self.components.len(),
+                threads,
+                || (),
+                |_, i| {
+                    let (piece, facts) = &self.components[i];
+                    facts.component_report(i, piece, s)
+                },
+            );
+            let composed = decomposition_sum(
+                &components
+                    .iter()
+                    .map(|c| c.best.clone())
+                    .collect::<Vec<_>>(),
+            );
+            (components, Some(composed))
+        };
+        // The composed bound dominates the baseline (a whole-graph
+        // wavefront anchor never spans components, and the trivial bound
+        // is additive across them); `max` with a composed-first
+        // tie-break keeps that winner.
+        let bound = best_lower_bound(
+            composed
+                .iter()
+                .cloned()
+                .chain(best_whole_graph.iter().cloned()),
+        )
+        // dmc-lint: allow(s1) -- the portfolio always contains the whole-graph baseline, so a best element exists
+        .expect("composed or whole-graph best always exists");
+        PortfolioBounds {
+            whole_graph,
+            best_whole_graph,
+            components,
+            composed,
+            bound,
+        }
+    }
+}
+
+impl PieceFacts {
+    fn new(g: &Cdag, strategy: AnchorStrategy, engine_threads: usize) -> Self {
+        PieceFacts {
+            trivial: IoBound::trivial(g),
+            witness: WavefrontWitness::new(&untag_inputs(g), strategy, engine_threads),
+            tagged: g.num_inputs() > 0,
+        }
+    }
+
+    /// Lemma 2 on the untagged graph at capacity `s`; when the graph had
+    /// tagged inputs the result is wrapped in the Theorem-3 untagging
+    /// transfer that makes it valid for the tagged graph.
+    fn wavefront(&self, s: u64) -> IoBound {
+        let wf = self.witness.bound(s);
+        if self.tagged {
+            untagging_transfer(&wf)
+        } else {
+            wf
+        }
+    }
+
+    /// The method portfolio of `g` at capacity `s`, in tie-break
+    /// priority order: trivial counting (`|I| + |O \ I|`), Lemma-2
+    /// wavefronts on the untagged CDAG (Theorem-3 transfer), and the
+    /// Lemma-1 2S-partition counting relaxation.
+    fn portfolio(&self, g: &Cdag, s: u64) -> Vec<IoBound> {
+        vec![
+            self.trivial.clone(),
+            self.wavefront(s),
+            partition2s_bound(g, s),
+        ]
+    }
+
+    fn component_report(&self, index: usize, piece: &InducedSubCdag, s: u64) -> ComponentReport {
+        let candidates = self.portfolio(&piece.cdag, s);
         let best = best_lower_bound(candidates.iter().cloned())
             // dmc-lint: allow(s1) -- the portfolio always contains the whole-graph baseline, so it is non-empty
             .expect("portfolio is non-empty by construction");
@@ -939,36 +1060,6 @@ impl Analyzer {
             edges: piece.cdag.num_edges(),
             candidates,
             best,
-        }
-    }
-
-    /// Runs the method portfolio on one CDAG, in tie-break priority
-    /// order: trivial counting (`|I| + |O \ I|`), Lemma-2 wavefronts on
-    /// the untagged CDAG (Theorem-3 transfer), and the Lemma-1
-    /// 2S-partition counting relaxation.
-    fn portfolio(&self, g: &Cdag, engine_threads: usize) -> Vec<IoBound> {
-        vec![
-            IoBound::trivial(g),
-            self.wavefront_bound(g, engine_threads),
-            partition2s_bound(g, self.config.sram),
-        ]
-    }
-
-    /// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
-    /// result is wrapped in the Theorem-3 untagging transfer that makes
-    /// it valid for the tagged graph.
-    fn wavefront_bound(&self, g: &Cdag, engine_threads: usize) -> IoBound {
-        let untagged = untag_inputs(g);
-        let wf = auto_wavefront_bound_with(
-            &untagged,
-            self.config.sram,
-            self.config.anchor_strategy,
-            engine_threads,
-        );
-        if g.num_inputs() > 0 {
-            untagging_transfer(&wf)
-        } else {
-            wf
         }
     }
 }

@@ -16,6 +16,14 @@
 //!    game executor's validated upper bound for the *same schedule*
 //!    ([`certified_upper_bound`]).
 //!
+//! The lower side is split the way the paper's bounds are: the graph's
+//! `S`-free facts — the Theorem-2 component split and the wavefront
+//! engine's Lemma-2 witnesses on the untagged graph (Theorem 3) — are
+//! computed once per graph, before the sweep fans out, with the
+//! analyzer's full thread budget; each point then does only the per-`S`
+//! arithmetic and the 2S-partition member. The same facts serve every
+//! level of a machine validation ([`crate::machine_validate`]).
+//!
 //! Because every simulated run corresponds to a valid RBW game, the
 //! sandwich invariant
 //!
@@ -36,7 +44,7 @@
 
 use crate::bounds::IoBound;
 use crate::games::executor::{certified_upper_bound, EvictionPolicy};
-use crate::pipeline::{Analyzer, AnalyzerConfig};
+use crate::pipeline::{Analyzer, GraphFacts};
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::topo::is_valid_topological_order;
 use dmc_cdag::{Cdag, VertexId};
@@ -361,8 +369,9 @@ impl Analyzer {
         policy: Option<CachePolicy>,
     ) -> ValidationReport {
         let threads = self.config().threads;
+        let facts = GraphFacts::new(g, self.config());
         let points = fan_out_indexed(srams.len(), threads, Simulation::new, |sim, i| {
-            self.validation_point(spec, g, srams[i], policy, sim)
+            validation_point(spec, &facts, srams[i], policy, sim)
         });
         ValidationReport {
             spec: spec.render(),
@@ -374,63 +383,23 @@ impl Analyzer {
         }
     }
 
-    fn validation_point(
-        &self,
-        spec: &KernelSpec<'_>,
-        g: &Cdag,
-        s: u64,
-        policy: Option<CachePolicy>,
-        sim: &mut Simulation,
-    ) -> ValidationPoint {
-        let sched = spec.schedule_source(g, s);
-        assert!(
-            is_valid_topological_order(g, &sched.order),
-            "kernel '{}' emitted a schedule ('{}') that is not a topological order",
-            spec.render(),
-            sched.note
-        );
-        let sw = self.sandwich(g, &sched.order, s, policy, sim);
-        ValidationPoint {
-            sram: s,
-            certified_lower: sw.lower.value,
-            lower_method: sw.lower.method.to_string(),
-            measured_opt: sw.opt,
-            measured_lru: sw.lru,
-            certified_upper: sw.upper,
-            analytic_upper: spec
-                .kernel()
-                .analytic_upper_bound(spec.values(), s)
-                .map(|a| a.value),
-            schedule_note: sched.note,
-            infeasible: sw.required.map(|required| {
-                format!("S < {required} words (largest in-degree + 1 of the schedule)")
-            }),
-        }
-    }
-
     /// The sandwich at one capacity `s`, shared by [`ValidationPoint`]
-    /// and [`MachineLevelPoint`](crate::MachineLevelPoint): the full
-    /// pipeline's certified lower bound, then — when `s` is feasible —
-    /// `order` replayed under the policies `policy` admits and the RBW
-    /// executor's certified upper bound for the same order.
+    /// and [`MachineLevelPoint`](crate::MachineLevelPoint): the
+    /// pipeline's certified lower bound from the per-`S` step over the
+    /// graph's `S`-free `facts`, then — when `s` is feasible — `order`
+    /// replayed under the policies `policy` admits and the RBW executor's
+    /// certified upper bound for the same order.
     pub(crate) fn sandwich(
-        &self,
-        g: &Cdag,
+        facts: &GraphFacts<'_>,
         order: &[VertexId],
         s: u64,
         policy: Option<CachePolicy>,
         sim: &mut Simulation,
     ) -> Sandwich {
-        // Run single-threaded inside the per-point worker: the outer
-        // fan-out owns the parallelism, and the bound is thread-invariant.
-        let lower = Analyzer::new(AnalyzerConfig {
-            sram: s,
-            threads: 1,
-            verdicts: false,
-            ..self.config().clone()
-        })
-        .analyze(g)
-        .bound;
+        let g = facts.graph();
+        // Single-threaded inside the per-point worker: the outer fan-out
+        // owns the parallelism, and the bound is thread-invariant.
+        let lower = facts.bounds_at(s, 1).bound;
         let required = min_feasible_capacity(g);
         let mut sw = Sandwich {
             lower,
@@ -463,6 +432,40 @@ impl Analyzer {
     }
 }
 
+fn validation_point(
+    spec: &KernelSpec<'_>,
+    facts: &GraphFacts<'_>,
+    s: u64,
+    policy: Option<CachePolicy>,
+    sim: &mut Simulation,
+) -> ValidationPoint {
+    let g = facts.graph();
+    let sched = spec.schedule_source(g, s);
+    assert!(
+        is_valid_topological_order(g, &sched.order),
+        "kernel '{}' emitted a schedule ('{}') that is not a topological order",
+        spec.render(),
+        sched.note
+    );
+    let sw = Analyzer::sandwich(facts, &sched.order, s, policy, sim);
+    ValidationPoint {
+        sram: s,
+        certified_lower: sw.lower.value,
+        lower_method: sw.lower.method.to_string(),
+        measured_opt: sw.opt,
+        measured_lru: sw.lru,
+        certified_upper: sw.upper,
+        analytic_upper: spec
+            .kernel()
+            .analytic_upper_bound(spec.values(), s)
+            .map(|a| a.value),
+        schedule_note: sched.note,
+        infeasible: sw.required.map(|required| {
+            format!("S < {required} words (largest in-degree + 1 of the schedule)")
+        }),
+    }
+}
+
 /// What [`Analyzer::sandwich`] measured at one capacity.
 pub(crate) struct Sandwich {
     /// The pipeline's certified lower bound.
@@ -481,6 +484,7 @@ pub(crate) struct Sandwich {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::AnalyzerConfig;
 
     fn analyzer(threads: usize) -> Analyzer {
         Analyzer::new(AnalyzerConfig {

@@ -1,13 +1,21 @@
 //! Acceptance tests for the empirical validation subsystem: measured I/O
 //! from the cache simulator sandwiched between certified bounds for the
-//! catalog kernels, thread-count-invariant byte-identical reports, and a
-//! registry-wide property test of the sandwich invariant.
+//! catalog kernels, thread-count-invariant byte-identical reports, a
+//! registry-wide property test of the sandwich invariant, and a
+//! differential wall that ties every point's certified lower bound to an
+//! independent per-`S` reference.
 
+mod reference;
+
+use dmc::cdag::components::weakly_connected_components;
+use dmc::cdag::textio::from_text;
 use dmc::cdag::topo::topological_order;
+use dmc::cdag::Cdag;
 use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
-use dmc::kernels::catalog::Registry;
-use dmc::sim::simulation::{CachePolicy, Simulation};
+use dmc::kernels::catalog::{KernelSpec, Registry};
+use dmc::sim::simulation::{min_feasible_capacity, CachePolicy, Simulation};
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 fn analyzer(threads: usize) -> Analyzer {
     Analyzer::new(AnalyzerConfig {
@@ -120,5 +128,99 @@ proptest! {
         let p = &r.points[0];
         prop_assert!(p.infeasible.is_none(), "{} S={} infeasible", name, s);
         prop_assert_eq!(p.sandwich_ok(), Some(true), "{} S={}: {:?}", name, s, p);
+    }
+}
+
+/// Every point's `certified_lower` and `lower_method` equal the per-`S`
+/// reference, at 1, 2 and 4 analyzer threads. Returns the reference
+/// columns, one per point.
+fn assert_points_match_reference(
+    spec: &KernelSpec<'_>,
+    g: &Cdag,
+    srams: &[u64],
+) -> Vec<(f64, String)> {
+    let want: Vec<(f64, String)> = srams
+        .iter()
+        .map(|&s| reference::lower_columns(g, s))
+        .collect();
+    for threads in [1usize, 2, 4] {
+        let r = analyzer(threads).validate_built(spec, g, srams, None);
+        let got: Vec<(f64, String)> = r
+            .points
+            .iter()
+            .map(|p| (p.certified_lower, p.lower_method.clone()))
+            .collect();
+        assert_eq!(got, want, "{} @ {threads} threads, S = {srams:?}", r.spec);
+    }
+    want
+}
+
+/// Below, at and above the default sweep: small capacities are where
+/// the wavefront member wins (infeasible points still carry a bound).
+fn wide_sweep(g: &Cdag) -> Vec<u64> {
+    let req = min_feasible_capacity(g) as u64;
+    vec![1, 2, req, 2 * req, 4 * req]
+}
+
+#[test]
+fn certified_lower_matches_a_per_s_reference_across_the_registry() {
+    let registry = Registry::shared();
+    for name in registry.names() {
+        let spec = registry.defaults(name).expect("registered");
+        let g = spec.build();
+        assert_points_match_reference(&spec, &g, &wide_sweep(&g));
+    }
+}
+
+/// The wall can only catch a bound carried over from another `S` on a
+/// graph whose winning member changes value with `S`: the wavefront
+/// member wins on the ladder at S = 1 and 2, with different values.
+#[test]
+fn reference_wall_covers_a_wavefront_win_that_moves_with_s() {
+    let spec = Registry::shared().parse("ladder(w=6,h=6)").expect("valid");
+    let g = spec.build();
+    let cols = assert_points_match_reference(&spec, &g, &[1, 2]);
+    assert_ne!(cols[0].0, cols[1].0, "{cols:?}");
+    for s in [1, 2] {
+        let b = reference::certified_lower(&g, s);
+        assert!(
+            b.to_string().contains("w^max"),
+            "S={s}: the wavefront member must win:\n{b}"
+        );
+    }
+}
+
+/// The two-component graph file with tagged inputs. `random` has no
+/// schedule hook, so it replays the Kahn order of whatever graph it is
+/// handed; only the bound columns of the report are compared.
+#[test]
+fn certified_lower_matches_the_reference_on_the_composite_graph_file() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/graphs/composite.cdag");
+    let g = from_text(&std::fs::read_to_string(path).expect("composite.cdag ships with the repo"))
+        .expect("composite.cdag parses");
+    assert_eq!(weakly_connected_components(&g).count, 2);
+    assert!(g.num_inputs() > 0);
+    let spec = Registry::shared().defaults("random").expect("registered");
+    assert_points_match_reference(&spec, &g, &wide_sweep(&g));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random sparse layered DAGs with several components: the
+    /// Theorem-2 composition at every point equals the reference.
+    #[test]
+    fn certified_lower_matches_the_reference_on_random_multi_component_dags(
+        layers in 2u64..5,
+        width in 2u64..6,
+        edge_pct in 5u64..30,
+        seed in 0u64..1_000_000
+    ) {
+        let spec = Registry::shared()
+            .parse(&format!("random(layers={layers},width={width},edge_pct={edge_pct},seed={seed})"))
+            .expect("valid");
+        let g = spec.build();
+        prop_assume!(weakly_connected_components(&g).count > 1);
+        assert_points_match_reference(&spec, &g, &wide_sweep(&g));
     }
 }
