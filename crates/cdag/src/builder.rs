@@ -2,6 +2,7 @@
 
 use crate::bitset::BitSet;
 use crate::graph::{Cdag, VertexId};
+use std::fmt::{self, Write};
 
 /// Errors reported by [`CdagBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +52,10 @@ impl std::error::Error for BuildError {}
 /// ```
 #[derive(Default, Clone)]
 pub struct CdagBuilder {
-    labels: Vec<String>,
+    /// All labels in one buffer, vertex `i`'s ending at `label_ends[i]`
+    /// (the layout [`Cdag::label`] reads).
+    label_text: String,
+    label_ends: Vec<u32>,
     edges: Vec<(VertexId, VertexId)>,
     input_tags: Vec<VertexId>,
     output_tags: Vec<VertexId>,
@@ -67,7 +71,8 @@ impl CdagBuilder {
     /// Creates an empty builder with vertex/edge capacity hints.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         CdagBuilder {
-            labels: Vec::with_capacity(vertices),
+            label_text: String::new(),
+            label_ends: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
             input_tags: Vec::new(),
             output_tags: Vec::new(),
@@ -85,29 +90,43 @@ impl CdagBuilder {
 
     /// Number of vertices added so far.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.label_ends.len()
     }
 
     /// `true` when no vertex has been added.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.label_ends.is_empty()
     }
 
     /// Adds an untagged vertex with a label; returns its id.
-    pub fn add_vertex(&mut self, label: impl Into<String>) -> VertexId {
-        let id = VertexId(self.labels.len() as u32);
-        self.labels.push(label.into());
+    ///
+    /// The label is rendered straight into the builder's one label
+    /// buffer, so `format_args!("u{t}_{i}")` costs no allocation of its
+    /// own; `&str` and `String` labels work as well.
+    ///
+    /// # Panics
+    /// Panics if the labels of all vertices together exceed 4 GiB.
+    pub fn add_vertex(&mut self, label: impl fmt::Display) -> VertexId {
+        let id = VertexId(self.label_ends.len() as u32);
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.label_text, "{label}");
+        assert!(
+            self.label_text.len() <= u32::MAX as usize,
+            "vertex labels exceed 4 GiB"
+        );
+        self.label_ends.push(self.label_text.len() as u32);
         id
     }
 
     /// Bulk-adds `count` untagged, *unlabeled* vertices and returns the
     /// id of the first one (ids are consecutive) — the streaming path
-    /// for generators emitting 10⁷–10⁸-vertex graphs, where one heap
-    /// `String` per vertex would dominate both time and memory. Empty
-    /// labels never allocate; [`Cdag::label`] renders them as `""`.
+    /// for generators emitting 10⁷–10⁸-vertex graphs, where rendering a
+    /// label per vertex would dominate both time and memory. An empty
+    /// label costs one offset; [`Cdag::label`] renders it as `""`.
     pub fn add_vertices(&mut self, count: usize) -> VertexId {
-        let id = VertexId(self.labels.len() as u32);
-        self.labels.resize(self.labels.len() + count, String::new());
+        let id = VertexId(self.label_ends.len() as u32);
+        let end = self.label_text.len() as u32;
+        self.label_ends.resize(self.label_ends.len() + count, end);
         id
     }
 
@@ -119,14 +138,14 @@ impl CdagBuilder {
     }
 
     /// Adds a vertex tagged as an input.
-    pub fn add_input(&mut self, label: impl Into<String>) -> VertexId {
+    pub fn add_input(&mut self, label: impl fmt::Display) -> VertexId {
         let id = self.add_vertex(label);
         self.input_tags.push(id);
         id
     }
 
     /// Adds a computational vertex with edges from every predecessor.
-    pub fn add_op(&mut self, label: impl Into<String>, preds: &[VertexId]) -> VertexId {
+    pub fn add_op(&mut self, label: impl fmt::Display, preds: &[VertexId]) -> VertexId {
         let id = self.add_vertex(label);
         for &p in preds {
             self.edges.push((p, id));
@@ -157,7 +176,7 @@ impl CdagBuilder {
     /// * the edge set is acyclic ([`BuildError::Cycle`]),
     /// * inputs are sources ([`BuildError::InputWithPredecessor`]).
     pub fn build(mut self) -> Result<Cdag, BuildError> {
-        let n = self.labels.len() as u32;
+        let n = self.label_ends.len() as u32;
         for &(u, v) in &self.edges {
             if u.0 >= n || v.0 >= n {
                 return Err(BuildError::DanglingEdge(u, v));
@@ -240,7 +259,8 @@ impl CdagBuilder {
             rev_adj,
             inputs,
             outputs,
-            self.labels,
+            self.label_text,
+            self.label_ends,
         ))
     }
 

@@ -54,7 +54,11 @@ pub struct Cdag {
     rev_adj: Vec<VertexId>,
     inputs: BitSet,
     outputs: BitSet,
-    labels: Vec<String>,
+    /// Every vertex label, concatenated in id order: vertex `i`'s label
+    /// is `label_text[label_ends[i - 1] .. label_ends[i]]` (from 0 for
+    /// `i = 0`). One buffer instead of a heap `String` per vertex.
+    label_text: String,
+    label_ends: Vec<u32>,
 }
 
 impl Cdag {
@@ -69,7 +73,8 @@ impl Cdag {
         rev_adj: Vec<VertexId>,
         inputs: BitSet,
         outputs: BitSet,
-        labels: Vec<String>,
+        label_text: String,
+        label_ends: Vec<u32>,
     ) -> Self {
         Cdag {
             n,
@@ -79,7 +84,8 @@ impl Cdag {
             rev_adj,
             inputs,
             outputs,
-            labels,
+            label_text,
+            label_ends,
         }
     }
 
@@ -172,7 +178,12 @@ impl Cdag {
 
     /// Human-readable label of `v` (empty string if none was assigned).
     pub fn label(&self, v: VertexId) -> &str {
-        self.labels.get(v.index()).map_or("", |s| s.as_str())
+        let i = v.index();
+        let Some(&end) = self.label_ends.get(i) else {
+            return "";
+        };
+        let start = if i == 0 { 0 } else { self.label_ends[i - 1] };
+        &self.label_text[start as usize..end as usize]
     }
 
     /// Returns a copy of this CDAG with different input/output tags.

@@ -179,11 +179,13 @@ struct Simulator<'a> {
 
 impl Simulator<'_> {
     fn fire(&mut self, v: VertexId, step: usize) {
-        // 1. Make all predecessors red (pinned for this firing).
-        let preds: Vec<VertexId> = self.g.predecessors(v).to_vec();
-        for &p in &preds {
+        // 1. Make all predecessors red (pinned for this firing). The
+        // slice borrows the graph, not `self`.
+        let g = self.g;
+        let preds = g.predecessors(v);
+        for &p in preds {
             if !self.red[p.index()] {
-                self.make_room(&preds, v);
+                self.make_room(preds, v);
                 debug_assert!(self.blue[p.index()], "spilled value {p} lost without blue");
                 self.trace.moves.push(Move::Load(p));
                 self.place_red(p);
@@ -192,7 +194,7 @@ impl Simulator<'_> {
         }
         // 2. Allocate v's own pebble and fire (or load, for inputs).
         if !self.red[v.index()] {
-            self.make_room(&preds, v);
+            self.make_room(preds, v);
             if self.g.is_input(v) {
                 self.trace.moves.push(Move::Load(v));
             } else {
@@ -205,7 +207,7 @@ impl Simulator<'_> {
         }
         self.touch(v, step);
         // 3. Retire predecessors' use counts; drop dead pebbles eagerly.
-        for &p in &preds {
+        for &p in preds {
             self.remaining_uses[p.index()] -= 1;
             self.advance_cursor(p, step);
             if self.is_dead(p) {
@@ -259,33 +261,32 @@ impl Simulator<'_> {
         self.blue[u.index()] || (self.remaining_uses[u.index()] == 0 && !self.g.is_output(u))
     }
 
-    fn choose_victim(&mut self, pinned: &[VertexId], v: VertexId) -> VertexId {
-        let candidates: Vec<VertexId> = self
+    /// Scans the resident list on purpose: this executor is the
+    /// independent reference the indexed simulator is checked against.
+    fn choose_victim(&self, pinned: &[VertexId], v: VertexId) -> VertexId {
+        let mut candidates = self
             .resident
             .iter()
             .copied()
             .filter(|u| *u != v && !pinned.contains(u))
-            .collect();
+            .peekable();
         assert!(
-            !candidates.is_empty(),
+            candidates.peek().is_some(),
             "no evictable pebble: budget {} too small for in-degree of {v}",
             self.s
         );
         match self.policy {
             EvictionPolicy::Lru => candidates
-                .into_iter()
                 .min_by_key(|u| self.last_touch[u.index()])
                 // dmc-lint: allow(s1) -- the candidate list was just checked non-empty by the feasibility gate above
                 .expect("non-empty"),
             EvictionPolicy::Fifo => candidates
-                .into_iter()
                 .min_by_key(|u| self.arrival[u.index()])
                 // dmc-lint: allow(s1) -- the candidate list was just checked non-empty by the feasibility gate above
                 .expect("non-empty"),
             EvictionPolicy::Belady => {
                 // Furthest next use; dead values are infinitely far.
                 candidates
-                    .into_iter()
                     .max_by_key(|u| {
                         let c = self.next_use_cursor[u.index()] as usize;
                         let us = &self.uses[u.index()];

@@ -52,34 +52,44 @@ pub fn cg_cdag(n: usize, d: usize, t: usize, stencil: Stencil) -> CgCdag {
     let npts = grid.len();
     let mut b = CdagBuilder::with_capacity((3 + 12 * t) * npts, (3 + 24 * t) * npts);
 
-    let mut x: Vec<VertexId> = (0..npts).map(|i| b.add_input(format!("x0_{i}"))).collect();
-    let mut r: Vec<VertexId> = (0..npts).map(|i| b.add_input(format!("r0_{i}"))).collect();
-    let mut p: Vec<VertexId> = (0..npts).map(|i| b.add_input(format!("p0_{i}"))).collect();
+    let mut x: Vec<VertexId> = (0..npts)
+        .map(|i| b.add_input(format_args!("x0_{i}")))
+        .collect();
+    let mut r: Vec<VertexId> = (0..npts)
+        .map(|i| b.add_input(format_args!("r0_{i}")))
+        .collect();
+    let mut p: Vec<VertexId> = (0..npts)
+        .map(|i| b.add_input(format_args!("p0_{i}")))
+        .collect();
 
     let mut marks = Vec::with_capacity(t);
     // ⟨r,r⟩ of the *current* residual; recomputed fresh at the first
     // iteration, reused from step 5 afterwards.
     let mut rr = dot(&mut b, &r, &r, "rr0");
+    // The SpMV stencil is the same every iteration: resolve it once.
+    let neighbors: Vec<Vec<usize>> = (0..npts).map(|i| grid.neighbors(i, stencil)).collect();
+    let mut preds: Vec<VertexId> = Vec::new();
 
     for it in 1..=t {
         // 1. v = A p (stencil SpMV).
         let v: Vec<VertexId> = (0..npts)
             .map(|i| {
-                let mut preds = vec![p[i]];
-                preds.extend(grid.neighbors(i, stencil).into_iter().map(|j| p[j]));
-                b.add_op(format!("v{it}_{i}"), &preds)
+                preds.clear();
+                preds.push(p[i]);
+                preds.extend(neighbors[i].iter().map(|&j| p[j]));
+                b.add_op(format_args!("v{it}_{i}"), &preds)
             })
             .collect();
         // 2. a = ⟨r,r⟩ / ⟨p,v⟩.
         let pv = dot(&mut b, &p, &v, &format!("pv{it}"));
-        let a = b.add_op(format!("a{it}"), &[rr, pv]);
+        let a = b.add_op(format_args!("a{it}"), &[rr, pv]);
         // 3. x = x + a p.
         x = saxpy(&mut b, &x, a, &p, &format!("x{it}_"));
         // 4. r' = r − a v.
         let rnew = saxpy(&mut b, &r, a, &v, &format!("r{it}_"));
         // 5. g = ⟨r',r'⟩ / ⟨r,r⟩.
         let rr_new = dot(&mut b, &rnew, &rnew, &format!("rr{it}"));
-        let g = b.add_op(format!("g{it}"), &[rr_new, rr]);
+        let g = b.add_op(format_args!("g{it}"), &[rr_new, rr]);
         // 6. p = r' + g p.
         p = saxpy(&mut b, &rnew, g, &p, &format!("p{it}_"));
         r = rnew;

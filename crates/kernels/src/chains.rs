@@ -12,7 +12,7 @@ pub fn chain(k: usize) -> Cdag {
     let mut b = CdagBuilder::with_capacity(k, k.saturating_sub(1));
     let mut prev = b.add_input("x0");
     for i in 1..k {
-        prev = b.add_op(format!("x{i}"), &[prev]);
+        prev = b.add_op(format_args!("x{i}"), &[prev]);
     }
     b.tag_output(prev);
     b.build_valid("chain is acyclic")
@@ -34,14 +34,16 @@ pub fn diamond() -> Cdag {
 pub fn binary_reduction(leaves: usize) -> Cdag {
     assert!(leaves.is_power_of_two() && leaves >= 1);
     let mut b = CdagBuilder::with_capacity(2 * leaves - 1, 2 * (leaves - 1));
-    let mut frontier: Vec<VertexId> = (0..leaves).map(|i| b.add_input(format!("x{i}"))).collect();
+    let mut frontier: Vec<VertexId> = (0..leaves)
+        .map(|i| b.add_input(format_args!("x{i}")))
+        .collect();
     let mut level = 0;
     while frontier.len() > 1 {
         level += 1;
         frontier = frontier
             .chunks(2)
             .enumerate()
-            .map(|(i, pair)| b.add_op(format!("s{level}_{i}"), pair))
+            .map(|(i, pair)| b.add_op(format_args!("s{level}_{i}"), pair))
             .collect();
     }
     b.tag_output(frontier[0]);
@@ -54,9 +56,9 @@ pub fn binary_reduction(leaves: usize) -> Cdag {
 pub fn independent_chains(k: usize, len: usize) -> Cdag {
     let mut b = CdagBuilder::with_capacity(k * len, k * (len - 1));
     for c in 0..k {
-        let mut prev = b.add_input(format!("c{c}_x0"));
+        let mut prev = b.add_input(format_args!("c{c}_x0"));
         for i in 1..len {
-            prev = b.add_op(format!("c{c}_x{i}"), &[prev]);
+            prev = b.add_op(format_args!("c{c}_x{i}"), &[prev]);
         }
         b.tag_output(prev);
     }
@@ -82,7 +84,7 @@ pub fn ladder(w: usize, h: usize) -> Cdag {
             let v = if preds.is_empty() {
                 b.add_input("g0_0")
             } else {
-                b.add_op(format!("g{i}_{j}"), &preds)
+                b.add_op(format_args!("g{i}_{j}"), &preds)
             };
             ids[j * w + i] = v;
         }
@@ -97,7 +99,9 @@ pub fn ladder(w: usize, h: usize) -> Cdag {
 pub fn two_stage(m: usize) -> Cdag {
     let mut b = CdagBuilder::new();
     let x = b.add_input("x");
-    let stage1: Vec<VertexId> = (0..m).map(|i| b.add_op(format!("f{i}"), &[x])).collect();
+    let stage1: Vec<VertexId> = (0..m)
+        .map(|i| b.add_op(format_args!("f{i}"), &[x]))
+        .collect();
     let out = b.add_op("g", &stage1);
     b.tag_output(out);
     b.build_valid("two-stage is acyclic")

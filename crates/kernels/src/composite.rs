@@ -30,24 +30,24 @@ use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 pub fn composite(n: usize) -> Cdag {
     assert!(n >= 1);
     let mut b = CdagBuilder::with_capacity(4 * n + 3 * n * n + n * n * n * 2, 6 * n * n * n);
-    let p: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("p{i}"))).collect();
-    let q: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("q{i}"))).collect();
-    let r: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("r{i}"))).collect();
-    let s: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("s{i}"))).collect();
+    let p: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("p{i}"))).collect();
+    let q: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("q{i}"))).collect();
+    let r: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("r{i}"))).collect();
+    let s: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("s{i}"))).collect();
 
     let mut a = vec![VertexId(0); n * n];
     let mut bb = vec![VertexId(0); n * n];
     for i in 0..n {
         for j in 0..n {
-            a[i * n + j] = b.add_op(format!("A{i}_{j}"), &[p[i], q[j]]);
-            bb[i * n + j] = b.add_op(format!("B{i}_{j}"), &[r[i], s[j]]);
+            a[i * n + j] = b.add_op(format_args!("A{i}_{j}"), &[p[i], q[j]]);
+            bb[i * n + j] = b.add_op(format_args!("B{i}_{j}"), &[r[i], s[j]]);
         }
     }
     let mut c = Vec::with_capacity(n * n);
     for i in 0..n {
         for j in 0..n {
             let prods: Vec<VertexId> = (0..n)
-                .map(|k| b.add_op(format!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]))
+                .map(|k| b.add_op(format_args!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]))
                 .collect();
             c.push(reduce_tree(&mut b, &prods, &format!("C{i}_{j}")));
         }

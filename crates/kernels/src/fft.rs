@@ -18,11 +18,11 @@ pub fn fft(n: usize) -> Cdag {
     );
     let stages = n.trailing_zeros() as usize;
     let mut b = CdagBuilder::with_capacity(n * (stages + 1), 2 * n * stages);
-    let mut prev: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
+    let mut prev: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
     for s in 1..=stages {
         let stride = 1usize << (s - 1);
         let cur: Vec<VertexId> = (0..n)
-            .map(|i| b.add_op(format!("f{s}_{i}"), &[prev[i], prev[i ^ stride]]))
+            .map(|i| b.add_op(format_args!("f{s}_{i}"), &[prev[i], prev[i ^ stride]]))
             .collect();
         prev = cur;
     }

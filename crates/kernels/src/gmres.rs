@@ -48,19 +48,25 @@ pub fn gmres_cdag(n: usize, d: usize, m: usize, stencil: Stencil) -> GmresCdag {
     let npts = grid.len();
     let mut b = CdagBuilder::with_capacity((1 + 6 * m) * npts, (1 + 12 * m) * npts);
 
-    let v0: Vec<VertexId> = (0..npts).map(|i| b.add_input(format!("v0_{i}"))).collect();
+    let v0: Vec<VertexId> = (0..npts)
+        .map(|i| b.add_input(format_args!("v0_{i}")))
+        .collect();
     let mut basis: Vec<Vec<VertexId>> = vec![v0];
     let mut marks = Vec::with_capacity(m);
 
+    // The SpMV stencil is the same every iteration: resolve it once.
+    let neighbors: Vec<Vec<usize>> = (0..npts).map(|i| grid.neighbors(i, stencil)).collect();
+    let mut preds: Vec<VertexId> = Vec::new();
     for it in 0..m {
         // dmc-lint: allow(s1) -- basis starts with v0 and only grows inside the loop
         let vi = basis.last().expect("basis non-empty").clone();
         // 1. w = A v_i.
         let mut w: Vec<VertexId> = (0..npts)
             .map(|i| {
-                let mut preds = vec![vi[i]];
-                preds.extend(grid.neighbors(i, stencil).into_iter().map(|j| vi[j]));
-                b.add_op(format!("w{it}_{i}"), &preds)
+                preds.clear();
+                preds.push(vi[i]);
+                preds.extend(neighbors[i].iter().map(|&j| vi[j]));
+                b.add_op(format_args!("w{it}_{i}"), &preds)
             })
             .collect();
         // 2 & 3 fused per MGS: for each j, h = <w, v_j>; w = w − h v_j.
@@ -72,7 +78,7 @@ pub fn gmres_cdag(n: usize, d: usize, m: usize, stencil: Stencil) -> GmresCdag {
                 .iter()
                 .zip(vj)
                 .enumerate()
-                .map(|(i, (&wi, &vji))| b.add_op(format!("w{it}_{j}_{i}"), &[wi, h, vji]))
+                .map(|(i, (&wi, &vji))| b.add_op(format_args!("w{it}_{j}_{i}"), &[wi, h, vji]))
                 .collect();
         }
         // dmc-lint: allow(s1) -- the m >= 1 range check at parse time guarantees the loop ran at least once

@@ -39,14 +39,23 @@ pub fn jacobi_cdag(n: usize, d: usize, t: usize, stencil: Stencil) -> JacobiCdag
     let stencil_pts = stencil.points(d);
     let mut b = CdagBuilder::with_capacity((t + 1) * npts, t * npts * stencil_pts);
     let mut ids: Vec<Vec<VertexId>> = Vec::with_capacity(t + 1);
-    ids.push((0..npts).map(|i| b.add_input(format!("u0_{i}"))).collect());
+    ids.push(
+        (0..npts)
+            .map(|i| b.add_input(format_args!("u0_{i}")))
+            .collect(),
+    );
+    // The stencil is the same at every step: resolve it once, and gather
+    // each vertex's predecessors into one reused buffer.
+    let neighbors: Vec<Vec<usize>> = (0..npts).map(|i| grid.neighbors(i, stencil)).collect();
+    let mut preds: Vec<VertexId> = Vec::with_capacity(stencil_pts + 1);
     for step in 1..=t {
         let prev = &ids[step - 1];
         let cur: Vec<VertexId> = (0..npts)
             .map(|i| {
-                let mut preds = vec![prev[i]];
-                preds.extend(grid.neighbors(i, stencil).into_iter().map(|j| prev[j]));
-                b.add_op(format!("u{step}_{i}"), &preds)
+                preds.clear();
+                preds.push(prev[i]);
+                preds.extend(neighbors[i].iter().map(|&j| prev[j]));
+                b.add_op(format_args!("u{step}_{i}"), &preds)
             })
             .collect();
         ids.push(cur);

@@ -18,15 +18,15 @@ pub fn matmul(n: usize) -> Cdag {
     assert!(n >= 1);
     let mut b = CdagBuilder::with_capacity(2 * n * n + n * n * n * 2, 4 * n * n * n);
     let a: Vec<VertexId> = (0..n * n)
-        .map(|k| b.add_input(format!("A{}_{}", k / n, k % n)))
+        .map(|k| b.add_input(format_args!("A{}_{}", k / n, k % n)))
         .collect();
     let bb: Vec<VertexId> = (0..n * n)
-        .map(|k| b.add_input(format!("B{}_{}", k / n, k % n)))
+        .map(|k| b.add_input(format_args!("B{}_{}", k / n, k % n)))
         .collect();
     for i in 0..n {
         for j in 0..n {
             let prods: Vec<VertexId> = (0..n)
-                .map(|k| b.add_op(format!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]))
+                .map(|k| b.add_op(format_args!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]))
                 .collect();
             let c = reduce_tree(&mut b, &prods, &format!("C{i}_{j}"));
             b.tag_output(c);
@@ -42,19 +42,19 @@ pub fn matmul_chain_accumulate(n: usize) -> Cdag {
     assert!(n >= 1);
     let mut b = CdagBuilder::with_capacity(2 * n * n + 2 * n * n * n, 4 * n * n * n);
     let a: Vec<VertexId> = (0..n * n)
-        .map(|k| b.add_input(format!("A{}_{}", k / n, k % n)))
+        .map(|k| b.add_input(format_args!("A{}_{}", k / n, k % n)))
         .collect();
     let bb: Vec<VertexId> = (0..n * n)
-        .map(|k| b.add_input(format!("B{}_{}", k / n, k % n)))
+        .map(|k| b.add_input(format_args!("B{}_{}", k / n, k % n)))
         .collect();
     for i in 0..n {
         for j in 0..n {
             let mut acc: Option<VertexId> = None;
             for k in 0..n {
-                let m = b.add_op(format!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]);
+                let m = b.add_op(format_args!("m{i}_{j}_{k}"), &[a[i * n + k], bb[k * n + j]]);
                 acc = Some(match acc {
                     None => m,
-                    Some(prev) => b.add_op(format!("s{i}_{j}_{k}"), &[prev, m]),
+                    Some(prev) => b.add_op(format_args!("s{i}_{j}_{k}"), &[prev, m]),
                 });
             }
             // dmc-lint: allow(s1) -- the inner reduction loop runs n >= 1 times (asserted at entry), so acc is Some

@@ -12,11 +12,11 @@ use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 /// `2n` inputs, `n²` multiply vertices, all tagged outputs.
 pub fn outer_product(n: usize) -> Cdag {
     let mut b = CdagBuilder::with_capacity(2 * n + n * n, 2 * n * n);
-    let p: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("p{i}"))).collect();
-    let q: Vec<VertexId> = (0..n).map(|j| b.add_input(format!("q{j}"))).collect();
+    let p: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("p{i}"))).collect();
+    let q: Vec<VertexId> = (0..n).map(|j| b.add_input(format_args!("q{j}"))).collect();
     for (i, &pi) in p.iter().enumerate() {
         for (j, &qj) in q.iter().enumerate() {
-            let a = b.add_op(format!("A{i}_{j}"), &[pi, qj]);
+            let a = b.add_op(format_args!("A{i}_{j}"), &[pi, qj]);
             b.tag_output(a);
         }
     }

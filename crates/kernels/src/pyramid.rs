@@ -15,13 +15,15 @@ pub fn pyramid(r: usize, h: usize) -> Cdag {
     assert!(r >= 1 && h >= 1);
     let base = r * h + 1;
     let mut b = CdagBuilder::with_capacity(base * (h + 1), base * h * r);
-    let mut prev: Vec<VertexId> = (0..base).map(|i| b.add_input(format!("p0_{i}"))).collect();
+    let mut prev: Vec<VertexId> = (0..base)
+        .map(|i| b.add_input(format_args!("p0_{i}")))
+        .collect();
     for k in 1..=h {
         let width = r * (h - k) + 1;
         let cur: Vec<VertexId> = (0..width)
             .map(|i| {
                 let preds: Vec<VertexId> = (0..=r).map(|off| prev[i + off]).collect();
-                b.add_op(format!("p{k}_{i}"), &preds)
+                b.add_op(format_args!("p{k}_{i}"), &preds)
             })
             .collect();
         prev = cur;

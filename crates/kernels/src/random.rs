@@ -76,7 +76,7 @@ pub fn random_layered(cfg: RandomDagConfig) -> Cdag {
     if cfg.deg == 0 {
         // Dense Bernoulli mode: labeled vertices, per-pair coins.
         let mut prev: Vec<VertexId> = (0..cfg.width)
-            .map(|i| b.add_input(format!("l0_{i}")))
+            .map(|i| b.add_input(format_args!("l0_{i}")))
             .collect();
         for layer in 1..cfg.layers {
             let cur: Vec<VertexId> = (0..cfg.width)
@@ -92,7 +92,7 @@ pub fn random_layered(cfg: RandomDagConfig) -> Cdag {
                     for &p in &preds {
                         out_degree[p.index()] += 1;
                     }
-                    b.add_op(format!("l{layer}_{i}"), &preds)
+                    b.add_op(format_args!("l{layer}_{i}"), &preds)
                 })
                 .collect();
             prev = cur;

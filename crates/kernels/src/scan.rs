@@ -15,11 +15,11 @@ use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 pub fn sequential_scan(n: usize) -> Cdag {
     assert!(n >= 1);
     let mut b = CdagBuilder::with_capacity(2 * n, 2 * n);
-    let xs: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
+    let xs: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
     let mut acc = xs[0];
     b.tag_output(acc);
     for (i, &x) in xs.iter().enumerate().skip(1) {
-        acc = b.add_op(format!("s{i}"), &[acc, x]);
+        acc = b.add_op(format_args!("s{i}"), &[acc, x]);
         b.tag_output(acc);
     }
     b.build_valid("scan chain is acyclic")
@@ -30,7 +30,7 @@ pub fn sequential_scan(n: usize) -> Cdag {
 pub fn sklansky_scan(n: usize) -> Cdag {
     assert!(n.is_power_of_two() && n >= 2);
     let mut b = CdagBuilder::with_capacity(n * 2, n * 2);
-    let mut cur: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
+    let mut cur: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
     let stages = n.trailing_zeros() as usize;
     for s in 0..stages {
         let block = 1usize << (s + 1);
@@ -39,7 +39,7 @@ pub fn sklansky_scan(n: usize) -> Cdag {
         for start in (0..n).step_by(block) {
             let pivot = cur[start + half - 1];
             for i in (start + half)..(start + block) {
-                next[i] = b.add_op(format!("p{s}_{i}"), &[pivot, cur[i]]);
+                next[i] = b.add_op(format_args!("p{s}_{i}"), &[pivot, cur[i]]);
             }
         }
         cur = next;

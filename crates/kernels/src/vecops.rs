@@ -20,7 +20,7 @@ pub fn reduce_tree(b: &mut CdagBuilder, items: &[VertexId], tag: &str) -> Vertex
             .enumerate()
             .map(|(i, pair)| {
                 if pair.len() == 2 {
-                    b.add_op(format!("{tag}+L{level}_{i}"), pair)
+                    b.add_op(format_args!("{tag}+L{level}_{i}"), pair)
                 } else {
                     pair[0]
                 }
@@ -42,9 +42,9 @@ pub fn dot(b: &mut CdagBuilder, x: &[VertexId], y: &[VertexId], tag: &str) -> Ve
         .enumerate()
         .map(|(i, (&a, &c))| {
             if a == c {
-                b.add_op(format!("{tag}*sq{i}"), &[a])
+                b.add_op(format_args!("{tag}*sq{i}"), &[a])
             } else {
-                b.add_op(format!("{tag}*{i}"), &[a, c])
+                b.add_op(format_args!("{tag}*{i}"), &[a, c])
             }
         })
         .collect();
@@ -63,7 +63,7 @@ pub fn saxpy(
     x.iter()
         .zip(y)
         .enumerate()
-        .map(|(i, (&a, &c))| b.add_op(format!("{tag}{i}"), &[a, s, c]))
+        .map(|(i, (&a, &c))| b.add_op(format_args!("{tag}{i}"), &[a, s, c]))
         .collect()
 }
 
@@ -71,15 +71,15 @@ pub fn saxpy(
 pub fn scale(b: &mut CdagBuilder, x: &[VertexId], s: VertexId, tag: &str) -> Vec<VertexId> {
     x.iter()
         .enumerate()
-        .map(|(i, &a)| b.add_op(format!("{tag}{i}"), &[a, s]))
+        .map(|(i, &a)| b.add_op(format_args!("{tag}{i}"), &[a, s]))
         .collect()
 }
 
 /// A standalone dot-product CDAG over two input vectors of length `n`.
 pub fn dot_product_cdag(n: usize) -> Cdag {
     let mut b = CdagBuilder::new();
-    let x: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
-    let y: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("y{i}"))).collect();
+    let x: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
+    let y: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("y{i}"))).collect();
     let r = dot(&mut b, &x, &y, "xy");
     b.tag_output(r);
     b.build_valid("dot product is acyclic")
@@ -88,8 +88,8 @@ pub fn dot_product_cdag(n: usize) -> Cdag {
 /// A standalone saxpy CDAG `z = x + s·y` over inputs of length `n`.
 pub fn saxpy_cdag(n: usize) -> Cdag {
     let mut b = CdagBuilder::new();
-    let x: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
-    let y: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("y{i}"))).collect();
+    let x: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
+    let y: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("y{i}"))).collect();
     let s = b.add_input("s");
     let z = saxpy(&mut b, &x, s, &y, "z");
     for v in z {
@@ -195,7 +195,7 @@ mod tests {
         // n leaves -> n-1 internal adds, also for non-powers of two.
         for n in [1usize, 2, 3, 5, 8, 13] {
             let mut b = CdagBuilder::new();
-            let xs: Vec<VertexId> = (0..n).map(|i| b.add_input(format!("x{i}"))).collect();
+            let xs: Vec<VertexId> = (0..n).map(|i| b.add_input(format_args!("x{i}"))).collect();
             let root = reduce_tree(&mut b, &xs, "s");
             let g = b.build().unwrap();
             assert_eq!(g.num_vertices(), n + n.saturating_sub(1), "n = {n}");
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn self_dot_uses_single_pred() {
         let mut b = CdagBuilder::new();
-        let x: Vec<VertexId> = (0..4).map(|i| b.add_input(format!("x{i}"))).collect();
+        let x: Vec<VertexId> = (0..4).map(|i| b.add_input(format_args!("x{i}"))).collect();
         let r = dot(&mut b, &x.clone(), &x, "rr");
         b.tag_output(r);
         let g = b.build().unwrap();

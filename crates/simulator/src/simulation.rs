@@ -24,12 +24,20 @@
 //!
 //! Every eviction decision is total-ordered and documented:
 //!
-//! * [`CachePolicy::Lru`] evicts the resident value with the smallest
-//!   last-touch tick; ticks come from a strictly increasing counter, so
-//!   there are never ties.
+//! * [`CachePolicy::Lru`] evicts the unpinned resident value touched
+//!   least recently. Residents sit in an intrusive doubly-linked
+//!   recency list over vertex ids, and a touch moves a value to its
+//!   tail, so the victim is the first unpinned entry from the head.
+//!   There are never ties. A touch, a free and a victim pick are O(1);
+//!   the pick skips at most the firing vertex's `in_degree` pinned
+//!   predecessors.
 //! * [`CachePolicy::Opt`] evicts the resident value whose next use in the
 //!   schedule is furthest away (values never used again are infinitely
-//!   far); ties are broken toward the smaller vertex id.
+//!   far); ties are broken toward the smaller vertex id. Residents sit
+//!   in an indexed binary heap ordered by `(next use, smaller id)`; a
+//!   value is re-keyed only when its use cursor moves. Placing, freeing
+//!   and re-keying are O(log S), and a pick is O(1) plus the pinned
+//!   entries it looks past.
 //!
 //! No hash-map iteration is involved anywhere, so traces are reproducible
 //! across runs, processes, and thread counts.
@@ -135,6 +143,21 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// The "no vertex" link of the LRU recency list.
+const NIL: u32 = u32::MAX;
+
+/// OPT's heap key of resident `u` with next use `next_use`: ordered by
+/// next use, then by *descending* id, so the maximum is the furthest
+/// next use with ties toward the smaller id. Keys are unique.
+fn opt_key(next_use: u32, u: u32) -> u64 {
+    (u64::from(next_use) << 32) | u64::from(u32::MAX - u)
+}
+
+/// The vertex an [`opt_key`] belongs to.
+fn key_vertex(key: u64) -> u32 {
+    u32::MAX - key as u32
+}
+
 /// Reusable single-level RBW cache simulator.
 ///
 /// All working state is retained between runs and reset in place, so one
@@ -144,6 +167,13 @@ impl std::error::Error for SimError {}
 /// [`CachePolicy`] under capacity pressure — exactly the moves of a valid
 /// RBW game, which is what makes [`Trace::io`] comparable to the
 /// certified bounds.
+///
+/// Victim selection is indexed, never a scan of the resident words:
+/// under LRU a recency list makes a touch, a free and a victim pick O(1)
+/// (the pick skips at most the firing vertex's `in_degree` pinned
+/// predecessors); under OPT an indexed max-heap on next use makes each
+/// placement, free and re-key O(log S). See the module's
+/// "Determinism" section for the exact order.
 ///
 /// ```
 /// use dmc_cdag::topo::topological_order;
@@ -171,10 +201,24 @@ pub struct Simulation {
     use_start: Vec<u32>,
     use_pos: Vec<u32>,
     cursor: Vec<u32>,
-    last_touch: Vec<u64>,
     pos: Vec<u32>,
-    resident_list: Vec<VertexId>,
-    clock: u64,
+    /// `pinned[u] == step + 1` while schedule step `step` fires `u` or a
+    /// consumer of `u`: victim selection skips `u` then.
+    pinned: Vec<u32>,
+    /// LRU recency list over the resident ids, least recently touched at
+    /// `head`: `prev`/`next` are intrusive links, [`NIL`]-terminated.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// OPT residents as a binary max-heap of [`opt_key`]s — furthest
+    /// next use first, ties toward the smaller id — with each resident's
+    /// slot in `heap_pos`.
+    heap: Vec<u64>,
+    heap_pos: Vec<u32>,
+    /// Slots still to visit while looking past pinned heap entries.
+    heap_stack: Vec<usize>,
+    resident_count: usize,
 }
 
 impl Simulation {
@@ -255,37 +299,43 @@ impl Simulation {
         let mut trace = Trace::default();
         for (step, &v) in schedule.iter().enumerate() {
             let preds = g.predecessors(v);
+            // `n <= u32::MAX` vertices, so the stamp never wraps to 0.
+            let stamp = step as u32 + 1;
+            self.pinned[v.index()] = stamp;
+            for &p in preds {
+                self.pinned[p.index()] = stamp;
+            }
             // 1. Predecessors resident (pinned while firing).
             for &p in preds {
                 if self.resident[p.index()] {
                     trace.hits += 1;
                 } else {
-                    self.make_room(g, preds, v, cap, policy, &mut trace);
+                    self.make_room(g, stamp, cap, policy, &mut trace);
                     debug_assert!(self.saved[p.index()], "spilled {p} lost without a store");
                     trace.loads += 1;
-                    self.place(p);
+                    self.place(p, policy);
                 }
-                self.touch(p);
+                self.touch(p, policy);
             }
             // 2. The fired vertex itself: inputs load, computes are free.
             if !self.resident[v.index()] {
-                self.make_room(g, preds, v, cap, policy, &mut trace);
+                self.make_room(g, stamp, cap, policy, &mut trace);
                 if g.is_input(v) {
                     trace.loads += 1;
                 }
-                self.place(v);
+                self.place(v, policy);
             }
-            self.touch(v);
+            self.touch(v, policy);
             // 3. Retire uses; delete dead values for free (rule R4).
             for &p in preds {
                 self.remaining[p.index()] -= 1;
-                self.advance_cursor(p, step as u32);
+                self.advance_cursor(p, step as u32, policy);
                 if self.remaining[p.index()] == 0 && (!g.is_output(p) || self.saved[p.index()]) {
-                    self.drop_resident(p);
+                    self.drop_resident(p, policy);
                 }
             }
             if self.remaining[v.index()] == 0 && !g.is_output(v) {
-                self.drop_resident(v);
+                self.drop_resident(v, policy);
             }
         }
         // 4. Outputs must end up in slow memory.
@@ -314,46 +364,140 @@ impl Simulation {
         self.use_pos.clear();
         self.cursor.clear();
         self.cursor.resize(n, 0);
-        self.last_touch.clear();
-        self.last_touch.resize(n, 0);
         self.pos.clear();
         self.pos.resize(n, u32::MAX);
-        self.resident_list.clear();
-        self.clock = 0;
+        self.pinned.clear();
+        self.pinned.resize(n, 0);
+        self.prev.clear();
+        self.prev.resize(n, NIL);
+        self.next.clear();
+        self.next.resize(n, NIL);
+        self.head = NIL;
+        self.tail = NIL;
+        self.heap.clear();
+        self.heap_pos.clear();
+        self.heap_pos.resize(n, 0);
+        self.resident_count = 0;
     }
 
-    fn touch(&mut self, v: VertexId) {
-        self.clock += 1;
-        self.last_touch[v.index()] = self.clock;
+    /// Marks `v` as just used. Under LRU it moves to the recency list's
+    /// tail; every [`Simulation::place`] is followed at once by a touch,
+    /// so list order is exactly "least recently touched first".
+    fn touch(&mut self, v: VertexId, policy: CachePolicy) {
+        if policy == CachePolicy::Lru && self.tail != v.0 {
+            self.unlink(v.0);
+            self.link_tail(v.0);
+        }
     }
 
-    fn place(&mut self, v: VertexId) {
+    fn place(&mut self, v: VertexId, policy: CachePolicy) {
         debug_assert!(!self.resident[v.index()]);
         self.resident[v.index()] = true;
-        self.resident_list.push(v);
-        self.clock += 1;
+        self.resident_count += 1;
+        match policy {
+            CachePolicy::Lru => self.link_tail(v.0),
+            CachePolicy::Opt => {
+                let slot = self.heap.len();
+                self.heap.push(opt_key(self.next_use(v), v.0));
+                self.heap_pos[v.index()] = slot as u32;
+                self.sift_up(slot);
+            }
+        }
     }
 
-    fn drop_resident(&mut self, v: VertexId) {
+    fn drop_resident(&mut self, v: VertexId, policy: CachePolicy) {
         if !self.resident[v.index()] {
             return;
         }
         self.resident[v.index()] = false;
-        let at = self
-            .resident_list
-            .iter()
-            .position(|&u| u == v)
-            // dmc-lint: allow(s1) -- victim was drawn from the resident list by the selection above; absence is a bookkeeping bug
-            .expect("resident list consistent");
-        self.resident_list.swap_remove(at);
+        self.resident_count -= 1;
+        match policy {
+            CachePolicy::Lru => self.unlink(v.0),
+            CachePolicy::Opt => {
+                let slot = self.heap_pos[v.index()] as usize;
+                debug_assert_eq!(self.heap[slot], opt_key(self.next_use(v), v.0));
+                self.heap.swap_remove(slot);
+                if let Some(&moved) = self.heap.get(slot) {
+                    self.heap_pos[key_vertex(moved) as usize] = slot as u32;
+                    self.sift_down(slot);
+                    self.sift_up(slot);
+                }
+            }
+        }
     }
 
-    fn advance_cursor(&mut self, p: VertexId, step: u32) {
+    fn link_tail(&mut self, u: u32) {
+        self.prev[u as usize] = self.tail;
+        self.next[u as usize] = NIL;
+        match self.tail {
+            NIL => self.head = u,
+            t => self.next[t as usize] = u,
+        }
+        self.tail = u;
+    }
+
+    fn unlink(&mut self, u: u32) {
+        let (p, nx) = (self.prev[u as usize], self.next[u as usize]);
+        match p {
+            NIL => self.head = nx,
+            p => self.next[p as usize] = nx,
+        }
+        match nx {
+            NIL => self.tail = p,
+            nx => self.prev[nx as usize] = p,
+        }
+    }
+
+    /// Moves `p`'s use cursor past `step`; a resident's OPT key follows.
+    fn advance_cursor(&mut self, p: VertexId, step: u32, policy: CachePolicy) {
+        let before = self.next_use(p);
         let (lo, hi) = (self.use_start[p.index()], self.use_start[p.index() + 1]);
         let c = &mut self.cursor[p.index()];
         while lo + *c < hi && self.use_pos[(lo + *c) as usize] <= step {
             *c += 1;
         }
+        let after = self.next_use(p);
+        if policy == CachePolicy::Opt && self.resident[p.index()] && after != before {
+            // Cursors only move forward, so the key only grows.
+            let slot = self.heap_pos[p.index()] as usize;
+            self.heap[slot] = opt_key(after, p.0);
+            self.sift_up(slot);
+        }
+    }
+
+    fn sift_up(&mut self, mut slot: usize) {
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            if self.heap[parent] > self.heap[slot] {
+                break;
+            }
+            self.swap_slots(slot, parent);
+            slot = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        loop {
+            let (left, right) = (2 * slot + 1, 2 * slot + 2);
+            let mut top = slot;
+            if left < self.heap.len() && self.heap[left] > self.heap[top] {
+                top = left;
+            }
+            if right < self.heap.len() && self.heap[right] > self.heap[top] {
+                top = right;
+            }
+            if top == slot {
+                break;
+            }
+            self.swap_slots(slot, top);
+            slot = top;
+        }
+    }
+
+    fn swap_slots(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.heap_pos[key_vertex(self.heap[a]) as usize] = a as u32;
+        self.heap_pos[key_vertex(self.heap[b]) as usize] = b as u32;
     }
 
     fn next_use(&self, u: VertexId) -> u32 {
@@ -366,54 +510,72 @@ impl Simulation {
         }
     }
 
-    /// Frees capacity until a new word fits, never evicting `v` or its
-    /// pinned predecessors. Live victims are stored once; dead victims
-    /// (fully consumed, saved-or-untagged) leave for free.
+    /// Frees capacity until a new word fits, never evicting a vertex
+    /// pinned by `stamp` (the firing vertex and its predecessors). Live
+    /// victims are stored once; dead victims (fully consumed,
+    /// saved-or-untagged) leave for free.
     fn make_room(
         &mut self,
         g: &Cdag,
-        pinned: &[VertexId],
-        v: VertexId,
+        stamp: u32,
         cap: usize,
         policy: CachePolicy,
         trace: &mut Trace,
     ) {
-        while self.resident_list.len() >= cap {
-            let victim = self.choose_victim(pinned, v, policy);
+        while self.resident_count >= cap {
+            let victim = self.choose_victim(stamp, policy);
             let live = self.remaining[victim.index()] > 0 || g.is_output(victim);
             if live && !self.saved[victim.index()] {
                 trace.stores += 1;
                 self.saved[victim.index()] = true;
             }
             trace.evictions += 1;
-            self.drop_resident(victim);
+            self.drop_resident(victim, policy);
         }
     }
 
-    fn choose_victim(&self, pinned: &[VertexId], v: VertexId, policy: CachePolicy) -> VertexId {
-        let mut best: Option<VertexId> = None;
-        for &u in &self.resident_list {
-            if u == v || pinned.contains(&u) {
-                continue;
-            }
-            let better = match (policy, best) {
-                (_, None) => true,
-                // LRU: smallest last-touch tick; ticks are unique.
-                (CachePolicy::Lru, Some(b)) => {
-                    self.last_touch[u.index()] < self.last_touch[b.index()]
+    /// The first unpinned resident in policy order: the least recently
+    /// touched under LRU, the furthest next use (ties toward the smaller
+    /// id) under OPT.
+    fn choose_victim(&mut self, stamp: u32, policy: CachePolicy) -> VertexId {
+        let victim = match policy {
+            CachePolicy::Lru => {
+                let mut u = self.head;
+                while u != NIL && self.pinned[u as usize] == stamp {
+                    u = self.next[u as usize];
                 }
-                // OPT: furthest next use, ties toward the smaller id.
-                (CachePolicy::Opt, Some(b)) => {
-                    let (nu, nb) = (self.next_use(u), self.next_use(b));
-                    nu > nb || (nu == nb && u < b)
-                }
-            };
-            if better {
-                best = Some(u);
+                (u != NIL).then_some(u)
             }
-        }
+            CachePolicy::Opt => {
+                // An unpinned entry outranks its whole subtree, so only
+                // the children of pinned entries need a look.
+                let mut best: Option<u64> = None;
+                self.heap_stack.clear();
+                if !self.heap.is_empty() {
+                    self.heap_stack.push(0);
+                }
+                while let Some(slot) = self.heap_stack.pop() {
+                    let key = self.heap[slot];
+                    if self.pinned[key_vertex(key) as usize] != stamp {
+                        best = best.max(Some(key));
+                        continue;
+                    }
+                    for child in [2 * slot + 1, 2 * slot + 2] {
+                        if child < self.heap.len() {
+                            self.heap_stack.push(child);
+                        }
+                    }
+                }
+                best.map(key_vertex)
+            }
+        };
         // dmc-lint: allow(s1) -- the feasibility check at entry guarantees at least one unpinned resident exists
-        best.expect("feasibility check guarantees an unpinned resident")
+        let victim = VertexId(victim.expect("feasibility check guarantees an unpinned resident"));
+        debug_assert!(
+            self.resident[victim.index()],
+            "victim {victim} not resident"
+        );
+        victim
     }
 }
 
@@ -588,6 +750,35 @@ mod tests {
         );
         assert!(tight.evictions > 0 && roomy.evictions == 0);
         assert_eq!(roomy.io(), (g.num_inputs() + g.num_outputs()) as u64);
+    }
+
+    #[test]
+    fn opt_breaks_a_never_used_again_tie_toward_the_smaller_id() {
+        // x and y are outputs nobody reads, so both sit at "next use
+        // infinitely far" once z fires; with z and its predecessor c
+        // pinned, the pick must be x, the smaller id. No trace can tell
+        // the two apart (each costs its one store either way), so the
+        // victim itself is checked.
+        let mut b = dmc_cdag::CdagBuilder::new();
+        let a = b.add_input("a");
+        let x = b.add_op("x", &[a]);
+        let bb = b.add_input("b");
+        let y = b.add_op("y", &[bb]);
+        let c = b.add_input("c");
+        let z = b.add_op("z", &[c]);
+        for out in [x, y, z] {
+            b.tag_output(out);
+        }
+        let g = b.build().unwrap();
+        let order: Vec<VertexId> = g.vertices().collect();
+        let mut sim = Simulation::new();
+        let _ = sim.run(&g, &order, CachePolicy::Opt, 8).unwrap();
+        let z_stamp = order.len() as u32;
+        assert_eq!(sim.choose_victim(z_stamp, CachePolicy::Opt), x);
+        // The same residents under LRU: x was touched least recently.
+        let _ = sim.run(&g, &order, CachePolicy::Lru, 8).unwrap();
+        assert_eq!(sim.choose_victim(z_stamp, CachePolicy::Lru), x);
+        assert!(sim.resident[y.index()] && sim.resident[z.index()]);
     }
 
     #[test]
